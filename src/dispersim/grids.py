@@ -81,6 +81,11 @@ class GriddedDistribution:
             raise ValueError("density must match the grid shape")
         density = np.clip(density, 0.0, None)
         total = trapezoid(density, grid)
+        if total <= 0.0 and np.max(density) > 0.0:
+            # Subnormal values underflow the trapezoid; rescale only then, so
+            # every other input keeps its exact output.
+            density = density / np.max(density)
+            total = trapezoid(density, grid)
         if total <= 0.0:
             raise ValueError("density has zero total mass")
         density = density / total

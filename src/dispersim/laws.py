@@ -5,15 +5,17 @@ is a two-sided exponential (Laplace) law whose scale equals the gap between
 the mean price and the floor price ``mu_m``. Over long horizons the mean
 price itself wanders and the gap ``omega = mu - mu_m`` follows a shifted
 lognormal law. The unconditional price law is the lognormal mixture of the
-conditional Laplace laws, computed here by quadrature in log space.
+conditional Laplace laws, computed here in log space by Gauss-Legendre
+quadrature on two panels split at the integrand's kink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from .errors import QuadratureError
 
@@ -192,6 +194,10 @@ def lognormal_moments(params: LognormalParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] per node count; never mutated.
+_legendre_rule = lru_cache(maxsize=None)(roots_legendre)
+
+
 def mixture_density(
     prices,
     mean_price_law: LognormalParams,
@@ -211,17 +217,19 @@ def mixture_density(
     law to a point mass and recovers the shifted lognormal itself on the
     price axis; shrinking the gap law's ``omega`` recovers a single Laplace.
 
-    The quadrature substitutes ``u = log(w - shift)`` so the gap law becomes
-    a plain Gaussian weight; the u-axis is covered to eight log standard
-    deviations on each side and integrated with the trapezoidal rule. The
-    node count is doubled once and the two results must agree to
-    ``rel_tol`` relative to the density peak.
+    The quadrature substitutes ``u = log(w - shift)``, under which the gap
+    law is Gaussian, kept to eight log standard deviations each side. The
+    integrand kinks at ``u* = log(p - floor - shift)``, so the range is split
+    there into two Gauss-Legendre panels (one if ``u*`` is outside it). From
+    ``m = min(32, n_nodes // 2)`` nodes per panel, ``m`` doubles until the m-
+    and 2m-node results agree to ``rel_tol`` of the density peak; ``n_nodes``
+    caps the nodes per panel.
 
     Raises
     ------
     QuadratureError
-        If doubling the node count moves the result by more than ``rel_tol``;
-        the achieved agreement is attached.
+        If the results still disagree when doubling again would exceed
+        ``n_nodes``; the achieved agreement is attached.
     """
     if conditional_scale <= 0.0:
         raise ValueError("conditional_scale must be positive")
@@ -231,38 +239,28 @@ def mixture_density(
         raise ValueError("n_nodes too small for a refinement check")
     p = np.atleast_1d(np.asarray(prices, dtype=float))
 
-    log_gamma = np.log(mean_price_law.gamma)
-    omega_w = mean_price_law.omega
-    half_width = 8.0 * omega_w
+    gamma, omega, shift = mean_price_law.gamma, mean_price_law.omega, mean_price_law.shift
+    # Panels [-8, kink], [kink, 8] in t = (u - log gamma) / omega; a clipped kink empties one.
+    kink = np.clip(np.log(np.maximum(p - floor - shift, 1e-300) / gamma) / omega, -8.0, 8.0)
+    half = np.stack([8.0 + kink, 8.0 - kink], axis=1) / 2.0
+    mid = np.stack([kink - 8.0, kink + 8.0], axis=1) / 2.0
 
-    def integrate(nodes: int) -> np.ndarray:
-        u = np.linspace(log_gamma - half_width, log_gamma + half_width, nodes)
-        gap = mean_price_law.shift + np.exp(u)
-        weight = np.exp(-((u - log_gamma) ** 2) / (2.0 * omega_w**2)) / (
-            np.sqrt(2.0 * np.pi) * omega_w
-        )
-        mu = floor + gap
+    def integrate(m: int) -> np.ndarray:
+        x, w = _legendre_rule(m)
+        t = mid[:, :, None] + half[:, :, None] * x
+        gap = shift + gamma * np.exp(omega * t)
         scale = conditional_scale * gap
-        out = np.empty(p.size)
-        # Chunk the price axis so the (prices, nodes) broadcast stays small.
-        chunk = max(1, 2**22 // nodes)
-        for start in range(0, p.size, chunk):
-            block = p[start:start + chunk]
-            z = np.abs(block[:, None] - mu[None, :]) / scale[None, :]
-            cond = np.exp(-z) / (2.0 * scale[None, :])
-            out[start:start + chunk] = np.trapezoid(cond * weight[None, :], u, axis=1)
-        return out
+        f = np.exp(-0.5 * t**2 - np.abs(p[:, None, None] - floor - gap) / scale) / scale
+        return ((f @ w) * half).sum(axis=1) / (2.0 * np.sqrt(2.0 * np.pi))
 
-    coarse = integrate(n_nodes)
-    fine = integrate(2 * n_nodes - 1)
-    scale_ref = max(float(np.max(fine)), 1e-300)
-    gap = float(np.max(np.abs(fine - coarse))) / scale_ref
-    if gap > rel_tol:
-        raise QuadratureError(
-            f"quadrature refinement moved the density by {gap:.3e} "
-            f"(tolerance {rel_tol:.3e}); increase n_nodes",
-            achieved=gap,
-        )
-    if np.isscalar(prices) or np.asarray(prices).ndim == 0:
-        return fine[0]
-    return fine
+    m = min(32, n_nodes // 2)
+    fine = integrate(m)
+    while 2 * m <= n_nodes:
+        coarse, fine = fine, integrate(2 * m)
+        moved = float(np.max(np.abs(fine - coarse))) / max(float(np.max(fine)), 1e-300)
+        if moved <= rel_tol:
+            return fine[0] if np.ndim(prices) == 0 else fine
+        m *= 2
+    raise QuadratureError(
+        f"quadrature refinement moved the density by {moved:.3e} "
+        f"(tolerance {rel_tol:.3e}); increase n_nodes", achieved=moved)

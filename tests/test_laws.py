@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -230,6 +232,52 @@ def test_mixture_normalizes_over_the_whole_line():
     p = np.linspace(-40.0, 42.0, 40001)
     dens = mixture_density(p, law)
     assert simpson(dens, x=p) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_mixture_does_not_depend_on_the_stopping_tolerance():
+    law = LognormalParams(gamma=1.0, omega=0.3)
+    p = np.linspace(0.2, 3.0, 401)
+    loose = mixture_density(p, law, rel_tol=1e-6)
+    tight = mixture_density(p, law, rel_tol=1e-10)
+    assert np.max(np.abs(tight - loose)) <= 1e-6 * np.max(tight)
+
+
+def test_mixture_grids_agree_where_they_share_prices():
+    # each price is integrated on its own panels, so refining the price grid
+    # must not move the values at the prices both grids contain
+    law = LognormalParams(gamma=1.0, omega=0.3)
+    coarse = mixture_density(np.linspace(0.2, 3.0, 401), law)
+    fine = mixture_density(np.linspace(0.2, 3.0, 4001), law)
+    assert np.max(np.abs(fine[::10] - coarse)) <= 1e-9 * np.max(fine)
+
+
+@pytest.mark.parametrize("offset", [-0.3, 0.0, 0.05, 1.0, 12.0])
+def test_mixture_matches_independent_quadrature_wherever_the_kink_falls(offset):
+    # prices at or below floor + shift have no kink; offsets 0.05 and 12 put
+    # the kink below and above the eight-log-sigma range of the gap law, and
+    # 1.0 puts it inside, where the panels must split exactly at it
+    law = LognormalParams(gamma=1.0, omega=0.245, shift=0.2)
+    floor = 0.3
+    price = floor + law.shift + offset
+
+    def integrand(w):
+        return np.exp(-abs(price - floor - w) / w) / (2.0 * w) * lognormal_density(w, law)
+
+    kink = price - floor
+    pieces = [(law.shift, kink), (kink, np.inf)] if kink > law.shift else [(law.shift, np.inf)]
+    expected = sum(quad(integrand, a, b, limit=200, epsabs=0.0)[0] for a, b in pieces)
+    got = mixture_density(price, law, floor=floor)
+    assert float(got) == pytest.approx(expected, rel=1e-10)
+
+
+def test_mixture_node_ceiling_builds_no_rule_of_that_size():
+    # n_nodes caps the Gauss nodes per panel; the sharp limit converges long
+    # before it, so a 65537 ceiling must stay cheap
+    law = LognormalParams(gamma=1.0, omega=0.245)
+    p = np.linspace(0.5, 2.0, 31)
+    start = time.perf_counter()
+    mixture_density(p, law, conditional_scale=0.005, n_nodes=65537, rel_tol=1e-3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_mixture_reports_achieved_error_when_refinement_stalls():
