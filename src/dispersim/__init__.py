@@ -60,7 +60,6 @@ from .kinetic import (
     initial_state,
     run,
     stationary_state,
-    step,
 )
 from .fixedpoint import FixedPointResult, fixed_point_solve
 from .meanprice import (
@@ -103,7 +102,7 @@ __all__ = [
     "SupplyDemandCurves", "intercept_price", "quasi_static_density",
     "total_sales_rate",
     "InflowSpec", "MarketState", "SimResult", "initial_state", "run",
-    "stationary_state", "step",
+    "stationary_state",
     "FixedPointResult", "fixed_point_solve",
     "EnsembleResult", "SdeParams", "implied_lognormal", "simulate_mean_price",
     "walras_rhs",

@@ -163,7 +163,7 @@ def _cmd_simulate_kinetic(cfg, seed: int, out_dir: Path) -> None:
 
 
 _SDE_KEYS = {
-    "seed", "sde.omega0", "sde.noise_amp", "sde.walras_gain",
+    "seed", "sde.omega0", "sde.noise_amp",
     "sde.dt", "sde.horizon", "sde.n_paths", "sde.store_paths",
 }
 
@@ -173,7 +173,6 @@ def _cmd_simulate_meanprice(cfg, seed: int, out_dir: Path) -> None:
     params = SdeParams(
         omega0=get_float(cfg, "sde.omega0"),
         noise_amp=get_float(cfg, "sde.noise_amp"),
-        walras_gain=get_float(cfg, "sde.walras_gain", 0.0),
         dt=get_float(cfg, "sde.dt"),
         horizon=get_float(cfg, "sde.horizon"),
         n_paths=get_int(cfg, "sde.n_paths"),

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedRow
+from .errors import EmptyInput, MalformedRow, ModelError
 from .samples import Sample
 
 HEADER = ("good_id", "market_id", "quarter", "price", "quantity")
@@ -235,6 +236,9 @@ def normalize_prices(
     ------
     EmptyInput
         If the table has no rows.
+    ModelError
+        If a group's quantity-weighted mean under the weighted convention
+        misses 1 by more than 1e-12.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
@@ -254,8 +258,11 @@ def normalize_prices(
         group = NormalizedSample(
             key=key, mu0=mu0, values=prices / mu0, weights=quantities
         )
-        if weighted:
-            assert abs(group.weighted_mean() - 1.0) <= 1e-12
+        if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
+            raise ModelError(
+                f"group {key}: weighted mean of normalized prices is "
+                f"{group.weighted_mean()!r}, not 1"
+            )
         out.append(group)
     return out
 
@@ -304,34 +311,43 @@ def load_sample(source) -> Sample:
     EmptyInput
         If the stream holds no rows, or a header but no data.
     MalformedRow
-        On a wrong header or an unparsable row.
+        On a wrong header, an unparsable row, a value that is not finite,
+        or a weight that is not a positive finite number.
     """
     stream, needs_close = _open_text(source)
     try:
         reader = csv.reader(stream)
-        header = None
+        n_fields = 0
         values, weights = [], []
+        inf = math.inf
         for row_number, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if header is None:
+            if not n_fields:
                 if tuple(row) not in SAMPLE_HEADERS:
                     raise MalformedRow(
                         row_number, "header must be 'value' or 'value,weight'"
                     )
-                header = tuple(row)
+                n_fields = len(row)
                 continue
-            if len(row) != len(header):
+            if len(row) != n_fields:
                 raise MalformedRow(
-                    row_number, f"expected {len(header)} fields, got {len(row)}"
+                    row_number, f"expected {n_fields} fields, got {len(row)}"
                 )
             try:
-                values.append(float(row[0]))
-                if len(header) == 2:
-                    weights.append(float(row[1]))
+                value = float(row[0])
+                weight = float(row[1]) if n_fields == 2 else 1.0
             except ValueError:
                 raise MalformedRow(row_number, f"row {row!r} is not numeric")
-        if header is None:
+            # nan fails every comparison, so this also rejects nan
+            if not (-inf < value < inf and 0.0 < weight < inf):
+                raise MalformedRow(
+                    row_number, f"value must be finite and weight positive, got {row!r}"
+                )
+            values.append(value)
+            if n_fields == 2:
+                weights.append(weight)
+        if not n_fields:
             raise EmptyInput("sample stream holds no rows")
         if not values:
             raise EmptyInput("sample stream holds a header but no data")

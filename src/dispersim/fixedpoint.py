@@ -1,9 +1,12 @@
 """Self-consistent sales-price law via fixed-point iteration.
 
 The map sends a density to its own cumulative below the median and to the
-complementary cumulative above it, rescaled to unit mass.  Two-sided
-exponential laws reproduce themselves under this map up to boundary
-truncation, so iterating from a rough guess relaxes toward that family.
+complementary cumulative above it, rescaled to unit mass.  Every two-sided
+exponential law reproduces itself under this map up to boundary
+truncation, whatever its scale, so the scale is a neutral direction and the
+map has no attracting fixed point.  On a grid the iterates keep narrowing:
+from a flat seed on 4001 nodes the fitted Laplace scale falls from 0.083 to
+0.0015 over 400 iterations.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     density = np.asarray(density, dtype=float)
-    cum = cumulative_trapezoid(density, grid, initial=0.0)
+    return _map_cumulative(grid, cumulative_trapezoid(density, grid, initial=0.0))
+
+
+def _map_cumulative(grid: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """The map applied to a density given by its cumulative on ``grid``."""
     p_star = float(np.interp(0.5, cum, grid))
     shape = np.where(grid <= p_star, cum, cum[-1] - cum)
     norm = float(np.trapezoid(shape, grid))
@@ -77,11 +84,20 @@ def fixed_point_solve(
     density array, or ``None`` for a uniform start.  Seed densities are used
     as given; they are not renormalised.
 
-    Convergence is measured as the sup-norm distance between successive
-    cumulatives.  Early iterates sharpen rapidly in density (their peaks
-    grow without bound from flat seeds), so a density-space gap never
-    settles; the cumulative gap is scale-free and contracts like the
-    Kolmogorov-Smirnov distance between successive iterates.
+    The stopping gap is the sup-norm distance between successive
+    cumulatives, the Kolmogorov-Smirnov distance between successive
+    iterates.  Iterates sharpen without bound in density, so a density-space
+    gap never settles.  The cumulative gap does not contract either: the
+    map leaves the scale of a two-sided exponential free, the iterates keep
+    narrowing, and the gap can dip below a loose ``tol`` in passing while
+    a tight one (1e-3 at 4001 nodes) is never met.  The returned law is the
+    first iterate whose gap falls below ``tol``, so it depends on ``tol``.
+
+    Raises
+    ------
+    NonConvergence
+        If ``max_iter`` iterations pass without the gap falling below
+        ``tol``; ``last_gap`` carries the final gap.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -95,7 +111,7 @@ def fixed_point_solve(
     cum = cumulative_trapezoid(density, grid, initial=0.0)
     gap = np.inf
     for iteration in range(1, max_iter + 1):
-        new = fixed_point_map(grid, density)
+        new = _map_cumulative(grid, cum)
         new_cum = cumulative_trapezoid(new, grid, initial=0.0)
         gap = float(np.max(np.abs(new_cum - cum)))
         density, cum = new, new_cum

@@ -20,7 +20,7 @@ and the stocks admit an exactly stationary state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,10 +148,8 @@ class InflowSpec:
 class SimResult:
     """Sales law, per-step totals series, and the final market state.
 
-    ``times``, ``x_series``, ``z_series``, ``sales_rate_series`` and
-    ``mean_price_series`` are aligned per step; the mean price entry is the
-    sales-weighted mean of that step's transactions (nan on steps with no
-    sales). ``event_count`` is the total of transacted units.
+    ``times``, ``x_series``, ``z_series`` and ``sales_rate_series`` are
+    aligned per step. ``event_count`` is the total of transacted units.
     """
 
     sales_histogram: GriddedDistribution
@@ -159,46 +157,9 @@ class SimResult:
     x_series: np.ndarray
     z_series: np.ndarray
     sales_rate_series: np.ndarray
-    mean_price_series: np.ndarray
     event_count: float
     cap_hits: int
     final_state: MarketState
-
-
-def step(
-    state: MarketState,
-    inflow: InflowSpec,
-    dt: float,
-    demand_factor: float = 1.0,
-    supply_factor: float = 1.0,
-) -> MarketState:
-    """Advance the market by one step of length ``dt``.
-
-    Transacts ``min(eta * x_i * z_i * dt, x_i, z_i)`` units per bin,
-    removes them from both sides, tallies them as sales at the bin price,
-    then deposits the inflows (scaled by the optional per-step factors the
-    run loop uses for jitter) and advances the clock.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    uncapped = state.eta * state.x_bins * state.z_bins * dt
-    available = np.minimum(state.x_bins, state.z_bins)
-    transacted = np.minimum(uncapped, available)
-    newly_capped = int(np.count_nonzero(uncapped > available))
-    x_new = state.x_bins - transacted
-    z_new = state.z_bins - transacted
-    if inflow.demand_rate > 0.0 or inflow.supply_rate > 0.0:
-        d_weights, s_weights = inflow.bin_weights(state.grid)
-        x_new = x_new + demand_factor * inflow.demand_rate * dt * d_weights
-        z_new = z_new + supply_factor * inflow.supply_rate * dt * s_weights
-    return replace(
-        state,
-        x_bins=x_new,
-        z_bins=z_new,
-        clock=state.clock + dt,
-        cumulative_sales=state.cumulative_sales + transacted,
-        cap_hits=state.cap_hits + newly_capped,
-    )
 
 
 def run(
@@ -210,9 +171,12 @@ def run(
 ) -> SimResult:
     """Integrate the market from ``initial`` until the horizon.
 
-    The number of steps is ``round(horizon / dt)``. The result is
-    deterministic given ``(initial, inflow, dt, seed)``; the seed only
-    feeds the optional inflow jitter.
+    Each step transacts ``min(eta * x_i * z_i * dt, x_i, z_i)`` units per
+    bin, removes them from both sides, tallies them as sales at the bin
+    price, then deposits the inflows (scaled by the per-step jitter factors)
+    and advances the clock. The number of steps is ``round(horizon / dt)``.
+    The result is deterministic given ``(initial, inflow, dt, seed)``; the
+    seed only feeds the optional inflow jitter.
 
     Raises
     ------
@@ -238,7 +202,6 @@ def run(
     n_steps = max(int(round(horizon / dt)), 1)
     rng = np.random.default_rng(seed)
 
-    # Precompute what step() would rebuild every call.
     d_weights, s_weights = inflow.bin_weights(initial.grid)
     demand_in = inflow.demand_rate * dt * d_weights
     supply_in = inflow.supply_rate * dt * s_weights
@@ -253,7 +216,6 @@ def run(
     x_series = np.empty(n_steps)
     z_series = np.empty(n_steps)
     sales_rate = np.empty(n_steps)
-    mean_price = np.empty(n_steps)
 
     for k in range(n_steps):
         uncapped = eta_dt * x * z
@@ -270,13 +232,9 @@ def run(
         x = x - transacted + d_factor * demand_in
         z = z - transacted + s_factor * supply_in
         sales += transacted
-        step_total = float(transacted.sum())
         x_series[k] = x.sum()
         z_series[k] = z.sum()
-        sales_rate[k] = step_total / dt
-        mean_price[k] = (
-            float(np.dot(transacted, grid)) / step_total if step_total > 0.0 else np.nan
-        )
+        sales_rate[k] = float(transacted.sum()) / dt
 
     event_count = float(sales.sum()) - initial.event_count
     if event_count <= 0.0:
@@ -292,7 +250,6 @@ def run(
         x_series=x_series,
         z_series=z_series,
         sales_rate_series=sales_rate,
-        mean_price_series=mean_price,
         event_count=event_count,
         cap_hits=cap_hits,
         final_state=final_state,

@@ -33,14 +33,12 @@ class SdeParams:
     """Ensemble parameters for the multiplicative gap walk.
 
     ``omega0`` is the common initial gap, ``noise_amp`` the white-noise
-    intensity D (the noise autocorrelation is ``2 D`` times a delta),
-    ``walras_gain`` the price-adjustment gain H carried along for the
-    drift law, and ``seed`` the base of the per-path seed sequence.
+    intensity D (the noise autocorrelation is ``2 D`` times a delta), and
+    ``seed`` the base of the per-path seed sequence.
     """
 
     omega0: float
     noise_amp: float
-    walras_gain: float
     dt: float
     horizon: float
     n_paths: int
@@ -51,8 +49,6 @@ class SdeParams:
             raise ValueError("omega0 must be positive")
         if self.noise_amp < 0.0:
             raise ValueError("noise_amp must be nonnegative")
-        if self.walras_gain < 0.0:
-            raise ValueError("walras_gain must be nonnegative")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:

@@ -103,7 +103,7 @@ def test_criterion_5_mean_price_ensemble_terminal_law():
     """1e4 paths: log stats within 0.01 of (0, 0.2449), KS < 0.02, < 30 s."""
     start = time.perf_counter()
     params = SdeParams(
-        omega0=1.0, noise_amp=0.03, walras_gain=0.0,
+        omega0=1.0, noise_amp=0.03,
         dt=1e-3, horizon=1.0, n_paths=10_000, seed=0,
     )
     result = simulate_mean_price(params)

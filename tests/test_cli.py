@@ -137,6 +137,9 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate-kinetic", KINETIC_CFG + "kinetic.etaa = 2\n")
     assert code == 1
     assert "unknown config keys" in capsys.readouterr().err
+    code, _ = _run(tmp_path, "simulate-meanprice", SDE_CFG + "sde.walras_gain = 0.5\n")
+    assert code == 1
+    assert "sde.walras_gain" in capsys.readouterr().err
 
 
 def test_missing_required_key_exits_1(tmp_path, capsys):

@@ -20,7 +20,7 @@ from dispersim.dataio import (
     write_normalized_samples,
     write_sample,
 )
-from dispersim.errors import EmptyInput, MalformedRow
+from dispersim.errors import EmptyInput, MalformedRow, ModelError
 from dispersim.estimate import fit_shifted_lognormal
 from dispersim.samples import Sample
 
@@ -207,6 +207,14 @@ def test_normalized_weighted_means_are_one_for_every_group():
         assert abs(group.weighted_mean() - 1.0) <= 1e-12
 
 
+def test_normalize_refuses_a_group_whose_weighted_mean_misses_one(monkeypatch):
+    table = _table(f"{HEADER_LINE}\nmilk,north,2011Q1,1.0,3\n")
+    monkeypatch.setattr(NormalizedSample, "weighted_mean", lambda self: 1.0 + 1e-9)
+    with pytest.raises(ModelError, match="milk"):
+        normalize_prices(table)
+    normalize_prices(table, weighted=False)
+
+
 def test_groups_come_back_sorted_by_key():
     table = _table(
         f"{HEADER_LINE}\n"
@@ -324,6 +332,18 @@ def test_load_sample_error_cases():
     assert exc.value.row == 3
     with pytest.raises(MalformedRow):
         load_sample(io.StringIO("value\n1.0,2.0\n"))
+    for text, row in [
+        ("value\n1.0\nnan\n", 3),
+        ("value\n1.0\n\n-inf\n", 4),
+        ("value,weight\ninf,1.0\n", 2),
+        ("value,weight\n1.0,1.0\n2.0,0\n", 3),
+        ("value,weight\n1.0,-2.0\n", 2),
+        ("value,weight\n1.0,nan\n", 2),
+        ("value,weight\n1.0,inf\n", 2),
+    ]:
+        with pytest.raises(MalformedRow) as exc:
+            load_sample(io.StringIO(text))
+        assert exc.value.row == row, text
     with pytest.raises(EmptyInput):
         load_sample(io.StringIO(""))
     with pytest.raises(EmptyInput):

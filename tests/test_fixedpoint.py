@@ -70,6 +70,15 @@ def test_solver_from_flat_seed_lands_near_two_sided_exponential():
     assert abs(peak - dist.median()) < 0.05
 
 
+def test_solver_iterates_are_the_public_map_applied_repeatedly():
+    grid = uniform_grid(0.0, 2.0, 2001)
+    result = fixed_point_solve(grid, tol=1e-2)
+    density = np.full(grid.shape, 0.5)
+    for _ in range(result.n_iterations):
+        density = fixed_point_map(grid, density)
+    np.testing.assert_array_equal(result.distribution.density, density)
+
+
 def test_resolving_from_a_solution_barely_moves():
     grid = uniform_grid(0.0, 2.0, 2001)
     first = fixed_point_solve(grid, tol=1e-2)

@@ -1,7 +1,7 @@
 """Tests for the per-bin kinetic market simulator.
 
 Invariants exercised here:
-  * a step conserves units: stocks fall exactly by what was sold and rise
+  * a run conserves units: stocks fall exactly by what was sold and rise
     exactly by what flowed in,
   * bin populations never go negative thanks to the transaction cap,
   * runs are bit-for-bit reproducible for a fixed seed,
@@ -24,7 +24,6 @@ from dispersim.kinetic import (
     initial_state,
     run,
     stationary_state,
-    step,
 )
 from dispersim.quasistatic import SupplyDemandCurves, intercept_price
 from dispersim.samples import Sample
@@ -34,59 +33,63 @@ def _quiet_inflow() -> InflowSpec:
     return InflowSpec(0.0, 0.0, mu_ref=1.0, sigma_ref=0.2)
 
 
-def test_single_bin_step_arithmetic():
-    state = MarketState(np.array([1.0]), np.array([2.0]), np.array([3.0]), eta=0.5)
-    after = step(state, _quiet_inflow(), dt=0.1)
-    assert after.x_bins[0] == pytest.approx(1.7)
-    assert after.z_bins[0] == pytest.approx(2.7)
-    assert after.cumulative_sales[0] == pytest.approx(0.3)
+def test_single_step_arithmetic():
+    grid = uniform_grid(0.0, 1.0, 2)
+    state = MarketState(grid, np.array([2.0, 1.0]), np.array([3.0, 0.5]), eta=0.25)
+    result = run(state, _quiet_inflow(), dt=0.1, horizon=0.1)
+    after = result.final_state
+    np.testing.assert_allclose(after.x_bins, [1.85, 0.9875], rtol=1e-12)
+    np.testing.assert_allclose(after.z_bins, [2.85, 0.4875], rtol=1e-12)
+    np.testing.assert_allclose(after.cumulative_sales, [0.15, 0.0125], rtol=1e-12)
     assert after.clock == pytest.approx(0.1)
     assert after.cap_hits == 0
+    assert result.event_count == pytest.approx(0.1625)
+    np.testing.assert_allclose(result.times, [0.1])
+    np.testing.assert_allclose(result.sales_rate_series, [1.625])
 
 
 def test_step_caps_transactions_at_available_stock():
-    state = MarketState(np.array([1.0]), np.array([0.1]), np.array([5.0]), eta=1.0)
-    after = step(state, _quiet_inflow(), dt=1.0)
-    assert after.x_bins[0] == 0.0
-    assert after.z_bins[0] == pytest.approx(4.9)
-    assert after.cumulative_sales[0] == pytest.approx(0.1)
+    # The first step is uncapped (eta * stock * dt = 0.05); the supply inflow
+    # then floods bin 1, so the second step there wants 0.1 * 0.475 * z > 0.475
+    # units and must stop at the buyers' remaining stock.
+    grid = uniform_grid(0.0, 1.0, 2)
+    inflow = InflowSpec(0.0, 2000.0, mu_ref=0.5, sigma_ref=0.2)
+    _, s_weights = inflow.bin_weights(grid)
+    state = MarketState(grid, np.array([0.5, 0.5]), np.array([0.5, 0.5]), eta=1.0)
+    result = run(state, inflow, dt=0.1, horizon=0.2)
+    after = result.final_state
+    assert after.x_bins[1] == 0.0
+    assert after.z_bins[1] == pytest.approx(2 * 2000.0 * 0.1 * s_weights[1])
+    assert after.cumulative_sales[1] == pytest.approx(0.5)
+    assert after.x_bins[0] > 0.0
     assert after.cap_hits == 1
+    assert result.cap_hits == 1
 
 
-def test_step_without_matching_or_inflow_only_advances_clock():
-    grid = uniform_grid(0.0, 2.0, 5)
-    x = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-    z = np.array([0.5, 1.5, 2.5, 1.5, 0.5])
-    state = MarketState(grid, x, z, eta=0.0)
-    after = step(state, _quiet_inflow(), dt=0.25)
-    np.testing.assert_array_equal(after.x_bins, x)
-    np.testing.assert_array_equal(after.z_bins, z)
-    assert after.clock == 0.25
-    assert after.event_count == 0.0
-
-
-def test_step_conserves_units_exactly():
+def test_run_conserves_units_exactly():
     rng = np.random.default_rng(5)
     grid = uniform_grid(0.0, 2.0, 41)
     inflow = InflowSpec(3.0, 7.0, mu_ref=1.0, sigma_ref=0.3)
     state = MarketState(grid, rng.uniform(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 41), 0.2)
-    after = step(state, inflow, dt=0.1)
-    sold = after.event_count - state.event_count
-    scale = max(state.x_total, state.z_total, 1.0)
-    assert abs(after.x_total - (state.x_total - sold + 3.0 * 0.1)) < 1e-12 * scale
-    assert abs(after.z_total - (state.z_total - sold + 7.0 * 0.1)) < 1e-12 * scale
+    horizon = 5.0
+    result = run(state, inflow, dt=0.1, horizon=horizon)
+    after = result.final_state
+    sold = result.event_count
+    assert sold > 0.0
+    scale = max(state.x_total, state.z_total, after.x_total, after.z_total)
+    assert abs(after.x_total - (state.x_total - sold + 3.0 * horizon)) < 1e-12 * scale
+    assert abs(after.z_total - (state.z_total - sold + 7.0 * horizon)) < 1e-12 * scale
 
 
 def test_stocks_stay_nonnegative_under_aggressive_matching():
-    rng = np.random.default_rng(17)
-    grid = uniform_grid(0.0, 1.0, 21)
-    inflow = InflowSpec(1.0, 1.0, mu_ref=0.5, sigma_ref=0.1)
-    state = MarketState(grid, rng.uniform(0.0, 3.0, 21), rng.uniform(0.0, 3.0, 21), 5.0)
-    for _ in range(20):
-        state = step(state, inflow, dt=0.5)
-        assert np.all(state.x_bins >= 0.0)
-        assert np.all(state.z_bins >= 0.0)
-    assert state.cap_hits > 0
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(500.0, 100.0, mu_ref=1.0, sigma_ref=0.2, shape="monotone")
+    init = initial_state(grid, 1.0, inflow)
+    result = run(init, inflow, dt=0.05, horizon=20.0)
+    assert result.cap_hits > 0
+    assert np.all(result.final_state.x_bins >= 0.0)
+    assert np.all(result.final_state.z_bins >= 0.0)
+    assert np.all(result.x_series >= 0.0) and np.all(result.z_series >= 0.0)
 
 
 def test_market_state_validation():
@@ -223,7 +226,7 @@ def test_matched_stationary_state_is_exactly_balanced():
         100.0 * inflow.bin_weights(grid)[0],
         rtol=1e-12,
     )
-    after = step(state, inflow, dt=0.01)
+    after = run(state, inflow, dt=0.01, horizon=1.0).final_state
     np.testing.assert_allclose(after.x_bins, state.x_bins, rtol=1e-12)
     np.testing.assert_allclose(after.z_bins, state.z_bins, rtol=1e-12)
 
@@ -264,7 +267,6 @@ def test_run_series_are_consistent_with_event_count():
     assert result.times[-1] == pytest.approx(1.0)
     total_from_series = float(np.sum(result.sales_rate_series) * 0.01)
     assert total_from_series == pytest.approx(result.event_count, rel=1e-9)
-    assert np.all(np.isfinite(result.mean_price_series))
     assert result.final_state.clock == pytest.approx(1.0)
 
 

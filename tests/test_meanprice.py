@@ -22,7 +22,6 @@ def _params(**overrides) -> SdeParams:
     base = dict(
         omega0=1.0,
         noise_amp=0.03,
-        walras_gain=0.0,
         dt=0.1,
         horizon=1.0,
         n_paths=64,
@@ -37,8 +36,6 @@ def test_params_validation():
         _params(omega0=0.0)
     with pytest.raises(ValueError):
         _params(noise_amp=-0.1)
-    with pytest.raises(ValueError):
-        _params(walras_gain=-1.0)
     with pytest.raises(ValueError):
         _params(dt=0.0)
     with pytest.raises(ValueError):
