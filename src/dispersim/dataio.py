@@ -6,6 +6,11 @@ only comparable across goods after dividing by the group mean price, so the
 pipeline groups rows at a chosen granularity, normalizes prices by the
 per-group mean, and pools the normalized samples. The spread statistics of
 the groups (one standard deviation each) feed the shifted lognormal fit.
+
+The path is columnar. The readers parse each file in one pass of numpy's C
+text reader and validate it with array masks; only when a check fails do
+they re-read the file record by record to name the first bad row. Grouping
+sorts the rows once by integer group codes and works on contiguous slices.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import defaultdict
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +59,9 @@ class TransactionTable:
                           ("price", price), ("quantity", quantity)):
             if col.ndim != 1 or col.size != n:
                 raise ValueError(f"{name} must match good_id in length")
-        if any(not isinstance(v, str) or not v for col in (good, market, quarter) for v in col):
-            raise ValueError("ids must be nonempty strings")
+        for col in (good, market, quarter):
+            if not all(issubclass(kind, str) for kind in set(map(type, col))) or np.any(col == ""):
+                raise ValueError("ids must be nonempty strings")
         if not np.all(np.isfinite(price)) or np.any(price <= 0.0):
             raise ValueError("prices must be finite and positive")
         if not np.all(np.isfinite(quantity)) or np.any(quantity <= 0.0):
@@ -95,7 +101,7 @@ class NormalizedSample:
             raise ValueError("weights must match values in shape")
         if self.mu0 <= 0.0:
             raise ValueError("mu0 must be positive")
-        if np.any(values <= 0.0) or np.any(weights <= 0.0):
+        if (values <= 0.0).any() or (weights <= 0.0).any():
             raise ValueError("values and weights must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -106,27 +112,112 @@ class NormalizedSample:
         return int(self.values.size)
 
     def weighted_mean(self) -> float:
-        return float(np.sum(self.values * self.weights) / np.sum(self.weights))
+        return float((self.values * self.weights).sum() / self.weights.sum())
 
     def std(self) -> float:
         """Quantity-weighted population standard deviation of the values."""
         mean = self.weighted_mean()
-        var = float(np.sum(self.weights * (self.values - mean) ** 2) / np.sum(self.weights))
-        return float(np.sqrt(var))
+        var = float((self.weights * (self.values - mean) ** 2).sum() / self.weights.sum())
+        return math.sqrt(var)
 
 
 def _open_text(source):
-    """Pair (stream, needs_close) for a path or an open text stream."""
+    """Pair (stream, needs_close) for a path or an open text stream.
+
+    The readers seek back to report a bad row, so a stream that cannot
+    seek is read into memory first.
+    """
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline=""), True
+    if not source.seekable():
+        return io.StringIO(source.read(), newline=""), True
     return source, False
+
+
+def _records(stream):
+    """Nonblank CSV records of ``stream`` with their 1-based record numbers.
+
+    Blank records are skipped but counted. Lines come from ``readline`` so
+    that the stream stays positioned right after the last record read.
+    """
+    reader = csv.reader(iter(stream.readline, ""))
+    return ((number, row) for number, row in enumerate(reader, start=1) if row)
+
+
+def _read_columns(stream, start, dtype: np.dtype, build, check):
+    """``build`` the rest of ``stream``, parsed in one pass of numpy's C reader.
+
+    numpy's reader and ``build``'s validation both raise ValueError. The
+    records are then re-read from ``start`` (the header's position) and
+    ``check(row_number, row)`` raises MalformedRow at the first bad one;
+    if none is bad, numpy's error stands.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(
+                stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        return build(data)
+    except ValueError as error:
+        failure = error
+    stream.seek(start)
+    records = _records(stream)
+    next(records)  # the header, already accepted
+    for row_number, row in records:
+        check(row_number, row)
+    raise failure
+
+
+def _parse_number(text: str) -> float | None:
+    """``float(text)`` under the grammar of numpy's text reader, or None.
+
+    numpy strips Unicode whitespace and then accepts only ASCII without
+    digit-group underscores, so ``1_0`` and non-ASCII digits, which
+    ``float`` takes, are not numbers here.
+    """
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _check_transaction(row_number: int, row: list[str]) -> None:
+    """Raise MalformedRow if a transaction record breaks a rule of the format."""
+    if len(row) != len(HEADER):
+        raise MalformedRow(row_number, f"expected {len(HEADER)} fields, got {len(row)}")
+    for name, value in zip(HEADER[:3], row):
+        if not value:
+            raise MalformedRow(row_number, f"{name} must be nonempty")
+    for name, text in zip(HEADER[3:], row[3:]):
+        number = _parse_number(text)
+        if number is None:
+            raise MalformedRow(row_number, f"{name} {text!r} is not a number")
+        if not 0.0 < number < math.inf:
+            raise MalformedRow(row_number, f"{name} must be positive, got {text}")
+
+
+_TRANSACTION_DTYPE = np.dtype(
+    [(name, object) for name in HEADER[:3]] + [(name, float) for name in HEADER[3:]]
+)
 
 
 def load_transactions(source) -> TransactionTable:
     """Parse a transaction table from a path or text stream.
 
-    The first row must name the five columns exactly. Physical row numbers
-    (header = row 1) are preserved in diagnostics. Blank lines are skipped.
+    The input is CSV: fields may be quoted with ``"`` (a doubled ``""``
+    inside quotes is a literal quote), blank lines are skipped, and there
+    is no comment character, so a ``#`` is data. The first nonblank record
+    must name the five columns exactly. The body is parsed in one pass of
+    numpy's C text reader, so numbers follow its grammar: surrounding
+    Unicode whitespace (U+001C..U+001F included) is allowed, digit-group
+    underscores (``1_0``) and non-ASCII digits are not. Diagnostics report
+    the CSV record number (header = row 1, blank lines counted), which is
+    the physical line number unless a quoted field spans lines.
 
     Raises
     ------
@@ -135,60 +226,23 @@ def load_transactions(source) -> TransactionTable:
     MalformedRow
         On a wrong header, a wrong field count, an empty id, or a price or
         quantity that is not a positive finite number.
+    ValueError
+        From numpy, in a stream that ends lines only at LF (the default of
+        ``io.StringIO``), on a line with an unquoted CR inside it. Paths
+        are opened so that every CR ends a line.
     """
     stream, needs_close = _open_text(source)
     try:
-        reader = csv.reader(stream)
-        header = None
-        goods, markets, quarters, prices, quantities = [], [], [], [], []
-        for row_number, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if header is None:
-                if tuple(row) != HEADER:
-                    raise MalformedRow(
-                        row_number, f"header must be {','.join(HEADER)}"
-                    )
-                header = tuple(row)
-                continue
-            if len(row) != len(HEADER):
-                raise MalformedRow(
-                    row_number, f"expected {len(HEADER)} fields, got {len(row)}"
-                )
-            good, market, quarter, price_text, quantity_text = row
-            for name, value in (("good_id", good), ("market_id", market),
-                                ("quarter", quarter)):
-                if not value:
-                    raise MalformedRow(row_number, f"{name} must be nonempty")
-            try:
-                price = float(price_text)
-            except ValueError:
-                raise MalformedRow(row_number, f"price {price_text!r} is not a number")
-            if not np.isfinite(price) or price <= 0.0:
-                raise MalformedRow(row_number, f"price must be positive, got {price_text}")
-            try:
-                quantity = float(quantity_text)
-            except ValueError:
-                raise MalformedRow(
-                    row_number, f"quantity {quantity_text!r} is not a number"
-                )
-            if not np.isfinite(quantity) or quantity <= 0.0:
-                raise MalformedRow(
-                    row_number, f"quantity must be positive, got {quantity_text}"
-                )
-            goods.append(good)
-            markets.append(market)
-            quarters.append(quarter)
-            prices.append(price)
-            quantities.append(quantity)
+        start = stream.tell()
+        row_number, header = next(_records(stream), (0, None))
         if header is None:
             raise EmptyInput("transaction stream holds no rows")
-        return TransactionTable(
-            good_id=np.array(goods, dtype=object),
-            market_id=np.array(markets, dtype=object),
-            quarter=np.array(quarters, dtype=object),
-            price=np.array(prices, dtype=float),
-            quantity=np.array(quantities, dtype=float),
+        if tuple(header) != HEADER:
+            raise MalformedRow(row_number, f"header must be {','.join(HEADER)}")
+        return _read_columns(
+            stream, start, _TRANSACTION_DTYPE,
+            lambda data: TransactionTable(*(np.ascontiguousarray(data[name]) for name in HEADER)),
+            _check_transaction,
         )
     finally:
         if needs_close:
@@ -212,13 +266,17 @@ def serialize_transactions(table: TransactionTable) -> str:
     return buffer.getvalue()
 
 
-def group_keys(table: TransactionTable, grouping: str) -> list[tuple[str, ...]]:
-    """Per-row group key tuples at the requested granularity."""
-    if grouping not in _GROUP_DEPTH:
-        raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
-    depth = _GROUP_DEPTH[grouping]
-    columns = (table.good_id, table.market_id, table.quarter)[:depth]
-    return [tuple(col[i] for col in columns) for i in range(table.size)]
+def _group_codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct ids of ``column`` and each row's index into them.
+
+    Hashing the ids and sorting only the distinct ones is about three times
+    faster than ``np.unique`` on a fixed-width ``str`` view, and exact for
+    every string (that view drops trailing NUL characters).
+    """
+    ids = column.tolist()
+    names = sorted(set(ids))
+    rank = {name: i for i, name in enumerate(names)}
+    return names, np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
 
 
 def normalize_prices(
@@ -228,43 +286,73 @@ def normalize_prices(
 
     ``mu0`` is the quantity-weighted mean price of the group by default;
     ``weighted=False`` switches to the unweighted mean for comparison, since
-    the convention is a modeling choice. Groups are returned sorted by key.
-    A single-transaction group normalizes to the value 1 exactly under the
-    weighted convention.
+    the convention is a modeling choice. Groups are returned sorted by key,
+    each keeping its rows in table order. A single-transaction group
+    normalizes to the value 1 exactly under the weighted convention. A
+    group whose plain sums overflow (or whose products all underflow) is
+    averaged after dividing its prices and quantities by their largest
+    values; every other group keeps the plain sums' bits.
 
     Raises
     ------
     EmptyInput
         If the table has no rows.
+    ValueError
+        If ``grouping`` is not one of ``GROUPINGS``.
     ModelError
         If a group's quantity-weighted mean under the weighted convention
         misses 1 by more than 1e-12.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
-    keys = group_keys(table, grouping)
-    members: dict[tuple[str, ...], list[int]] = defaultdict(list)
-    for i, key in enumerate(keys):
-        members[key].append(i)
+    if grouping not in _GROUP_DEPTH:
+        raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
+    columns = (table.good_id, table.market_id, table.quarter)[:_GROUP_DEPTH[grouping]]
+    names, codes = zip(*map(_group_codes, columns))
+    # stable, so each group keeps its rows in table order; last key is primary
+    order = np.lexsort(codes[::-1])
+    codes = [code[order] for code in codes]
+    starts = np.flatnonzero(np.any([c[1:] != c[:-1] for c in codes], axis=0)) + 1
+    bounds = [0, *starts.tolist(), table.size]
+    keys = zip(*(
+        [column_names[i] for i in code[bounds[:-1]].tolist()]
+        for column_names, code in zip(names, codes)
+    ))
+    prices = table.price[order]
+    quantities = table.quantity[order]
     out = []
-    for key in sorted(members):
-        idx = np.array(members[key], dtype=int)
-        prices = table.price[idx]
-        quantities = table.quantity[idx]
-        if weighted:
-            mu0 = float(np.sum(prices * quantities) / np.sum(quantities))
-        else:
-            mu0 = float(np.mean(prices))
-        group = NormalizedSample(
-            key=key, mu0=mu0, values=prices / mu0, weights=quantities
-        )
-        if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
-            raise ModelError(
-                f"group {key}: weighted mean of normalized prices is "
-                f"{group.weighted_mean()!r}, not 1"
-            )
-        out.append(group)
+    with np.errstate(over="ignore"):
+        # each group's sums see its rows in table order, as a per-group copy would
+        spent = prices * quantities
+        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+            p, q = prices[lo:hi], quantities[lo:hi]
+            mu0 = float(spent[lo:hi].sum() / q.sum() if weighted else p.mean())
+            if not 0.0 < mu0 < math.inf:
+                mu0 = _rescaled_mean_price(p, q, weighted)
+            group = NormalizedSample(key=key, mu0=mu0, values=p / mu0, weights=q)
+            if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
+                raise ModelError(
+                    f"group {key}: weighted mean of normalized prices is "
+                    f"{group.weighted_mean()!r}, not 1"
+                )
+            out.append(group)
     return out
+
+
+def _rescaled_mean_price(prices: np.ndarray, quantities: np.ndarray, weighted: bool) -> float:
+    """Mean price of a group whose plain sums overflow or underflow.
+
+    Dividing by the largest price and quantity first keeps every product
+    and sum in range; the quantity scale cancels in the weighted mean.
+    """
+    top = prices.max()
+    scaled = prices / top
+    if weighted:
+        scaled_quantities = quantities / quantities.max()
+        mean = np.sum(scaled * scaled_quantities) / np.sum(scaled_quantities)
+    else:
+        mean = np.mean(scaled)
+    return float(mean * top)
 
 
 def group_std_devs(samples) -> tuple[Sample, int]:
@@ -288,23 +376,49 @@ def group_std_devs(samples) -> tuple[Sample, int]:
 def write_normalized_samples(samples) -> str:
     """Render normalized groups as ``group_key,value,weight`` rows.
 
-    Key components are joined with ``|`` into a single field.
+    Key components are joined with ``|`` into a single field, quoted as
+    the ``csv`` module quotes it.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("group_key", "value", "weight"))
+    label_buffer = io.StringIO()
+    label_writer = csv.writer(label_buffer, lineterminator="\n")
+    parts = ["group_key,value,weight\n"]
     for group in samples:
-        label = "|".join(group.key)
-        for value, weight in zip(group.values, group.weights):
-            writer.writerow([label, repr(float(value)), repr(float(weight))])
-    return buffer.getvalue()
+        label_buffer.seek(0)
+        label_buffer.truncate()
+        label_writer.writerow(("|".join(group.key), ""))
+        label = label_buffer.getvalue()[:-2]  # drop the empty field's ",\n"
+        parts += [
+            f"{label},{value!r},{weight!r}\n"
+            for value, weight in zip(group.values.tolist(), group.weights.tolist())
+        ]
+    return "".join(parts)
+
+
+def _check_sample(n_fields: int):
+    """Record check for a sample with ``n_fields`` columns."""
+
+    def check(row_number: int, row: list[str]) -> None:
+        if len(row) != n_fields:
+            raise MalformedRow(row_number, f"expected {n_fields} fields, got {len(row)}")
+        numbers = [_parse_number(text) for text in row]
+        if None in numbers:
+            raise MalformedRow(row_number, f"row {row!r} is not numeric")
+        value, weight = numbers if n_fields == 2 else (numbers[0], 1.0)
+        # nan fails every comparison, so this also rejects nan
+        if not (-math.inf < value < math.inf and 0.0 < weight < math.inf):
+            raise MalformedRow(
+                row_number, f"value must be finite and weight positive, got {row!r}"
+            )
+    return check
 
 
 def load_sample(source) -> Sample:
     """Parse a weighted or unweighted sample from a path or text stream.
 
     The header must be ``value`` or ``value,weight``; each data row carries
-    the corresponding number of fields.
+    the corresponding number of fields. The CSV rules, the number grammar,
+    the reported row numbers and numpy's ValueError on an unquoted CR
+    inside a line are those of ``load_transactions``.
 
     Raises
     ------
@@ -316,44 +430,24 @@ def load_sample(source) -> Sample:
     """
     stream, needs_close = _open_text(source)
     try:
-        reader = csv.reader(stream)
-        n_fields = 0
-        values, weights = [], []
-        inf = math.inf
-        for row_number, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if not n_fields:
-                if tuple(row) not in SAMPLE_HEADERS:
-                    raise MalformedRow(
-                        row_number, "header must be 'value' or 'value,weight'"
-                    )
-                n_fields = len(row)
-                continue
-            if len(row) != n_fields:
-                raise MalformedRow(
-                    row_number, f"expected {n_fields} fields, got {len(row)}"
-                )
-            try:
-                value = float(row[0])
-                weight = float(row[1]) if n_fields == 2 else 1.0
-            except ValueError:
-                raise MalformedRow(row_number, f"row {row!r} is not numeric")
-            # nan fails every comparison, so this also rejects nan
-            if not (-inf < value < inf and 0.0 < weight < inf):
-                raise MalformedRow(
-                    row_number, f"value must be finite and weight positive, got {row!r}"
-                )
-            values.append(value)
-            if n_fields == 2:
-                weights.append(weight)
-        if not n_fields:
+        start = stream.tell()
+        row_number, header = next(_records(stream), (0, None))
+        if header is None:
             raise EmptyInput("sample stream holds no rows")
-        if not values:
-            raise EmptyInput("sample stream holds a header but no data")
-        return Sample(
-            values=np.array(values, dtype=float),
-            weights=np.array(weights, dtype=float) if weights else None,
+        if tuple(header) not in SAMPLE_HEADERS:
+            raise MalformedRow(row_number, "header must be 'value' or 'value,weight'")
+
+        def build(data):
+            if data.size == 0:
+                raise EmptyInput("sample stream holds a header but no data")
+            return Sample(
+                values=np.ascontiguousarray(data["value"]),
+                weights=np.ascontiguousarray(data["weight"]) if len(header) == 2 else None,
+            )
+
+        return _read_columns(
+            stream, start, np.dtype([(name, float) for name in header]),
+            build, _check_sample(len(header)),
         )
     finally:
         if needs_close:

@@ -96,13 +96,13 @@ def simulate_mean_price(params: SdeParams, store_paths: bool = False) -> Ensembl
     paths = np.empty((params.n_paths, n_steps + 1)) if store_paths else None
     for i in range(params.n_paths):
         increments = path_rng(params.seed, i).standard_normal(n_steps)
+        # the terminal value never depends on whether paths are stored
+        terminal[i] = np.exp(log_omega0 + step_scale * increments.sum())
         if store_paths:
             log_path = log_omega0 + step_scale * np.cumsum(increments)
             paths[i, 0] = params.omega0
             paths[i, 1:] = np.exp(log_path)
-            terminal[i] = paths[i, -1]
-        else:
-            terminal[i] = np.exp(log_omega0 + step_scale * increments.sum())
+            paths[i, -1] = terminal[i]
     logs = np.log(terminal)
     log_std = float(np.std(logs, ddof=1)) if params.n_paths > 1 else 0.0
     return EnsembleResult(

@@ -11,7 +11,6 @@ from dispersim.dataio import (
     GROUPINGS,
     NormalizedSample,
     TransactionTable,
-    group_keys,
     group_std_devs,
     load_sample,
     load_transactions,
@@ -137,14 +136,19 @@ def test_group_keys_at_each_granularity():
         "milk,north,2011Q1,1.0,1\n"
         "milk,south,2011Q2,2.0,1\n"
     )
-    assert group_keys(table, "good") == [("milk",), ("milk",)]
-    assert group_keys(table, "good+market") == [("milk", "north"), ("milk", "south")]
-    assert group_keys(table, "good+market+quarter") == [
+
+    def keys(grouping):
+        return [g.key for g in normalize_prices(table, grouping)]
+
+    assert keys("good") == [("milk",)]
+    assert keys("good+market") == [("milk", "north"), ("milk", "south")]
+    assert keys("good+market+quarter") == [
         ("milk", "north", "2011Q1"),
         ("milk", "south", "2011Q2"),
     ]
+    assert [g.size for g in normalize_prices(table, "good")] == [2]
     with pytest.raises(ValueError):
-        group_keys(table, "shop")
+        normalize_prices(table, "shop")
     assert set(GROUPINGS) == {"good", "good+market", "good+market+quarter"}
 
 
@@ -213,6 +217,24 @@ def test_normalize_refuses_a_group_whose_weighted_mean_misses_one(monkeypatch):
     with pytest.raises(ModelError, match="milk"):
         normalize_prices(table)
     normalize_prices(table, weighted=False)
+
+
+def test_normalize_rescales_a_group_whose_sums_overflow():
+    table = _table(
+        f"{HEADER_LINE}\n"
+        "milk,n,2011Q1,1e200,1e200\n"
+        "milk,s,2011Q1,2e200,1e200\n"
+    )
+    (group,) = normalize_prices(table)
+    assert group.mu0 == pytest.approx(1.5e200, rel=1e-15)
+    np.testing.assert_allclose(group.values, [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+    assert group.weighted_mean() == pytest.approx(1.0, abs=1e-12)
+    (plain,) = normalize_prices(table, weighted=False)
+    assert plain.mu0 == pytest.approx(1.5e200, rel=1e-15)
+    # products that underflow to zero take the same route
+    (tiny,) = normalize_prices(_table(f"{HEADER_LINE}\nmilk,n,q,1e-200,1e-200\n"))
+    assert tiny.mu0 == 1e-200
+    assert tiny.values[0] == 1.0
 
 
 def test_groups_come_back_sorted_by_key():

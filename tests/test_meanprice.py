@@ -127,6 +127,17 @@ def test_stored_and_unstored_terminals_agree():
     np.testing.assert_allclose(with_paths.terminal, without.terminal, rtol=1e-12)
 
 
+def test_terminal_values_do_not_depend_on_storing_paths():
+    # at this size a cumsum-based terminal differs from the sum in the last
+    # bit for most paths, so only one summation for both settings passes
+    params = _params(noise_amp=0.03, dt=1e-3, horizon=1.0, n_paths=300)
+    with_paths = simulate_mean_price(params, store_paths=True)
+    without = simulate_mean_price(params)
+    assert with_paths.terminal.tobytes() == without.terminal.tobytes()
+    assert with_paths.paths[:, -1].tobytes() == with_paths.terminal.tobytes()
+    assert (with_paths.log_mean, with_paths.log_std) == (without.log_mean, without.log_std)
+
+
 def test_ensemble_statistics_match_the_exact_law():
     params = _params(noise_amp=0.03, horizon=1.0, dt=0.01, n_paths=4000)
     result = simulate_mean_price(params)
