@@ -364,7 +364,7 @@ def test_readers_follow_the_stream_newline_mode_like_the_reference(text, newline
         assert new == ref
 
 
-def test_readers_accept_a_stream_that_cannot_seek(tmp_path):
+def test_readers_accept_a_stream_that_cannot_seek():
     text = f"{','.join(HEADER)}\nmilk,n,q,1.5,2\nmilk,n,q,oops,2\n"
 
     class OneWay(io.StringIO):
