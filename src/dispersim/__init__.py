@@ -42,7 +42,6 @@ from .laws import (
     laplace_moments,
     lognormal_cdf,
     lognormal_density,
-    lognormal_eval,
     lognormal_moments,
     mixture_density,
     sigma_from_mean,
@@ -97,7 +96,7 @@ __all__ = [
     "GriddedDistribution", "uniform_grid",
     "LaplaceParams", "LognormalParams", "floor_linearization_error",
     "laplace_cdf", "laplace_density", "laplace_eval", "laplace_moments",
-    "lognormal_cdf", "lognormal_density", "lognormal_eval", "lognormal_moments",
+    "lognormal_cdf", "lognormal_density", "lognormal_moments",
     "mixture_density", "sigma_from_mean",
     "SupplyDemandCurves", "intercept_price", "quasi_static_density",
     "total_sales_rate",

@@ -1,10 +1,13 @@
 """Command-line orchestration: seeded runs, artifact files, run manifests.
 
-Every subcommand reads one flat key-value config file, writes its artifact
-tables into the output directory, and finishes with a ``manifest.txt``
-echoing the effective configuration, seed, and package version, which is
-enough to reproduce the run byte for byte. Files are written atomically
-(temp file plus rename) so a crash never leaves a half-written artifact.
+Every subcommand reads one flat key-value config file and returns its
+artifact tables as text. ``main`` adds a ``manifest.txt`` echoing the
+effective configuration, seed, and package version, which is enough to
+reproduce the run byte for byte, and only then writes the artifacts into
+the output directory, each atomically (temp file plus rename). A run that
+exits 1 or 2 therefore writes no artifact and leaves the files already in
+the output directory as they were; only a failing write can leave part of
+a run's files behind.
 
 Exit codes: 0 on success, 1 when the input or configuration is unusable,
 2 when the model or its numerics refuse the run.
@@ -81,20 +84,23 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def _table(header: str, rows) -> str:
     """Delimiter-separated table with 17-significant-digit numeric cells."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{cell:.17g}" for cell in row))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join(line % row for row in rows)
+
+
+def _column(header: str, values) -> str:
+    """One-column table of shortest round-tripping floats."""
+    return header + "\n" + "".join(f"{float(v)!r}\n" for v in values)
 
 
 def _keyvalue(pairs) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int, cfg: dict[str, str]) -> None:
+def _manifest(command: str, seed: int, cfg: dict[str, str]) -> str:
     pairs = [("command", command), ("version", __version__), ("seed", seed)]
     pairs.extend((key, cfg[key]) for key in sorted(cfg) if key != "seed")
-    atomic_write_text(out_dir / "manifest.txt", _keyvalue(pairs))
+    return _keyvalue(pairs)
 
 
 def _grid_from(cfg) -> np.ndarray:
@@ -105,21 +111,19 @@ def _grid_from(cfg) -> np.ndarray:
     )
 
 
+def _refuse_unused(cfg, keys, reason: str) -> None:
+    """Reject keys that the run would otherwise accept and then ignore."""
+    given = [key for key in keys if key in cfg]
+    if given:
+        raise ConfigError(f"unused config keys {', '.join(given)}: {reason}")
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: (cfg, seed) -> {artifact file name: text}
 # ---------------------------------------------------------------------------
 
-_KINETIC_KEYS = {
-    "seed", "grid.min", "grid.max", "grid.points",
-    "kinetic.eta", "kinetic.dt", "kinetic.horizon",
-    "kinetic.demand_rate", "kinetic.supply_rate",
-    "kinetic.mu_ref", "kinetic.sigma_ref", "kinetic.shape", "kinetic.jitter",
-    "kinetic.x0", "kinetic.z0", "kinetic.stationary_init",
-}
 
-
-def _cmd_simulate_kinetic(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _KINETIC_KEYS)
+def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
     grid = _grid_from(cfg)
     inflow = InflowSpec(
         demand_rate=get_float(cfg, "kinetic.demand_rate"),
@@ -131,6 +135,8 @@ def _cmd_simulate_kinetic(cfg, seed: int, out_dir: Path) -> None:
     )
     eta = get_float(cfg, "kinetic.eta")
     if get_bool(cfg, "kinetic.stationary_init", False):
+        _refuse_unused(cfg, ("kinetic.x0", "kinetic.z0"),
+                       "initial totals only apply without kinetic.stationary_init")
         state = stationary_state(grid, eta, inflow)
     else:
         state = initial_state(
@@ -144,32 +150,22 @@ def _cmd_simulate_kinetic(cfg, seed: int, out_dir: Path) -> None:
         horizon=get_float(cfg, "kinetic.horizon"),
         seed=seed,
     )
-    atomic_write_text(out_dir / "sales_histogram.csv", result.sales_histogram.to_table())
-    atomic_write_text(
-        out_dir / "series.csv",
-        _table(
+    sales = result.sales_histogram
+    return {
+        "sales_histogram.csv": _table("price,density", zip(sales.grid, sales.density)),
+        "series.csv": _table(
             "time,x_total,z_total,sales_rate",
             zip(result.times, result.x_series, result.z_series,
                 result.sales_rate_series),
         ),
-    )
-    atomic_write_text(
-        out_dir / "summary.txt",
-        _keyvalue([
+        "summary.txt": _keyvalue([
             ("event_count", repr(result.event_count)),
             ("cap_hits", result.cap_hits),
         ]),
-    )
+    }
 
 
-_SDE_KEYS = {
-    "seed", "sde.omega0", "sde.noise_amp",
-    "sde.dt", "sde.horizon", "sde.n_paths", "sde.store_paths",
-}
-
-
-def _cmd_simulate_meanprice(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _SDE_KEYS)
+def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
     params = SdeParams(
         omega0=get_float(cfg, "sde.omega0"),
         noise_amp=get_float(cfg, "sde.noise_amp"),
@@ -180,36 +176,23 @@ def _cmd_simulate_meanprice(cfg, seed: int, out_dir: Path) -> None:
     )
     store_paths = get_bool(cfg, "sde.store_paths", False)
     result = simulate_mean_price(params, store_paths=store_paths)
-    atomic_write_text(
-        out_dir / "terminal.csv",
-        "omega\n" + "".join(f"{float(w)!r}\n" for w in result.terminal),
-    )
+    artifacts = {"terminal.csv": _column("omega", result.terminal)}
     if store_paths:
         times = params.dt * np.arange(params.n_steps + 1)
         rows = []
         for i in range(params.n_paths):
             for t, w in zip(times, result.paths[i]):
                 rows.append(f"{i},{float(t)!r},{float(w)!r}\n")
-        atomic_write_text(out_dir / "paths.csv", "path_id,time,omega\n" + "".join(rows))
-    atomic_write_text(
-        out_dir / "summary.txt",
-        _keyvalue([
-            ("log_mean", repr(result.log_mean)),
-            ("log_std", repr(result.log_std)),
-            ("n_paths", params.n_paths),
-        ]),
-    )
+        artifacts["paths.csv"] = "path_id,time,omega\n" + "".join(rows)
+    artifacts["summary.txt"] = _keyvalue([
+        ("log_mean", repr(result.log_mean)),
+        ("log_std", repr(result.log_std)),
+        ("n_paths", params.n_paths),
+    ])
+    return artifacts
 
 
-_FIXEDPOINT_KEYS = {
-    "seed", "grid.min", "grid.max", "grid.points",
-    "fixedpoint.tol", "fixedpoint.max_iter",
-    "fixedpoint.init", "fixedpoint.init_mu", "fixedpoint.init_sigma",
-}
-
-
-def _cmd_fixed_point(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _FIXEDPOINT_KEYS)
+def _fixed_point(cfg, seed: int) -> dict[str, str]:
     grid = _grid_from(cfg)
     init_kind = get_str(cfg, "fixedpoint.init", "uniform", choices=("uniform", "laplace"))
     if init_kind == "laplace":
@@ -218,31 +201,25 @@ def _cmd_fixed_point(cfg, seed: int, out_dir: Path) -> None:
             sigma=get_float(cfg, "fixedpoint.init_sigma"),
         ))
     else:
+        _refuse_unused(cfg, ("fixedpoint.init_mu", "fixedpoint.init_sigma"),
+                       "the initial law's parameters need fixedpoint.init = laplace")
         init = None
     result = fixed_point_solve(
         grid, init,
         tol=get_float(cfg, "fixedpoint.tol", 1e-3),
         max_iter=get_int(cfg, "fixedpoint.max_iter", 200),
     )
-    atomic_write_text(out_dir / "density.csv", result.distribution.to_table())
-    atomic_write_text(
-        out_dir / "summary.txt",
-        _keyvalue([
+    law = result.distribution
+    return {
+        "density.csv": _table("price,density", zip(law.grid, law.density)),
+        "summary.txt": _keyvalue([
             ("iterations", result.n_iterations),
             ("gap", repr(result.gap)),
         ]),
-    )
+    }
 
 
-_MIXTURE_KEYS = {
-    "seed", "grid.min", "grid.max", "grid.points",
-    "mixture.gamma", "mixture.omega", "mixture.shift", "mixture.floor",
-    "mixture.conditional_scale", "mixture.n_nodes", "mixture.rel_tol",
-}
-
-
-def _cmd_mixture(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _MIXTURE_KEYS)
+def _mixture(cfg, seed: int) -> dict[str, str]:
     grid = _grid_from(cfg)
     law = LognormalParams(
         gamma=get_float(cfg, "mixture.gamma"),
@@ -256,96 +233,94 @@ def _cmd_mixture(cfg, seed: int, out_dir: Path) -> None:
         n_nodes=get_int(cfg, "mixture.n_nodes", 4097),
         rel_tol=get_float(cfg, "mixture.rel_tol", 1e-6),
     )
-    atomic_write_text(out_dir / "density.csv", _table("price,density", zip(grid, density)))
+    return {"density.csv": _table("price,density", zip(grid, density))}
 
 
-_FIT_KEYS = {
-    "seed", "fit.input", "fit.family",
-    "fit.shift_lo", "fit.shift_hi",
-    "fit.grid_min", "fit.grid_max", "fit.grid_points",
-}
-
-
-def _cmd_fit(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _FIT_KEYS)
-    sample = load_sample(get_str(cfg, "fit.input"))
+def _fit(cfg, seed: int) -> dict[str, str]:
     family = get_str(
         cfg, "fit.family", choices=(FAMILY_LAPLACE, FAMILY_SHIFTED_LOGNORMAL)
     )
+    has_lo, has_hi = "fit.shift_lo" in cfg, "fit.shift_hi" in cfg
     if family == FAMILY_LAPLACE:
-        if "fit.shift_lo" in cfg or "fit.shift_hi" in cfg:
-            raise ConfigError("shift bounds only apply to the shifted-lognormal family")
-        result = fit_laplace(sample)
-        fitted = lambda grid: laplace_density(grid, result.params)
-    else:
-        has_lo, has_hi = "fit.shift_lo" in cfg, "fit.shift_hi" in cfg
-        if has_lo != has_hi:
-            raise ConfigError("fit.shift_lo and fit.shift_hi must be given together")
-        bounds = (
-            (get_float(cfg, "fit.shift_lo"), get_float(cfg, "fit.shift_hi"))
-            if has_lo else None
-        )
-        result = fit_shifted_lognormal(sample, shift_bounds=bounds)
-        fitted = lambda grid: lognormal_density(grid, result.params)
-    atomic_write_text(out_dir / "fit.txt", _keyvalue(result.to_record().items()))
+        _refuse_unused(cfg, ("fit.shift_lo", "fit.shift_hi"),
+                       "shift bounds only apply to the shifted-lognormal family")
+    elif has_lo != has_hi:
+        raise ConfigError("fit.shift_lo and fit.shift_hi must be given together")
+    bounds = (
+        (get_float(cfg, "fit.shift_lo"), get_float(cfg, "fit.shift_hi"))
+        if has_lo else None
+    )
+    sample = load_sample(get_str(cfg, "fit.input"))
     grid = uniform_grid(
         get_float(cfg, "fit.grid_min", float(sample.values.min())),
         get_float(cfg, "fit.grid_max", float(sample.values.max())),
         get_int(cfg, "fit.grid_points", 201),
     )
     empirical, _ = histogram(sample, grid)
-    atomic_write_text(
-        out_dir / "series.csv",
-        _table(
+    if family == FAMILY_LAPLACE:
+        result = fit_laplace(sample)
+        fitted = laplace_density(grid, result.params)
+    else:
+        result = fit_shifted_lognormal(sample, shift_bounds=bounds)
+        fitted = lognormal_density(grid, result.params)
+    return {
+        "fit.txt": _keyvalue(result.to_record().items()),
+        "series.csv": _table(
             "price,empirical_density,fitted_density",
-            zip(grid, empirical.density, fitted(grid)),
+            zip(grid, empirical.density, fitted),
         ),
-    )
+    }
 
 
-_NORMALIZE_KEYS = {"seed", "normalize.input", "normalize.grouping", "normalize.weighted"}
-
-
-def _cmd_normalize(cfg, seed: int, out_dir: Path) -> None:
-    require_known(cfg, _NORMALIZE_KEYS)
-    table = load_transactions(get_str(cfg, "normalize.input"))
-    groups = normalize_prices(
-        table,
-        grouping=get_str(cfg, "normalize.grouping", "good", choices=GROUPINGS),
-        weighted=get_bool(cfg, "normalize.weighted", True),
-    )
-    atomic_write_text(out_dir / "normalized.csv", write_normalized_samples(groups))
+def _normalize(cfg, seed: int) -> dict[str, str]:
+    path = get_str(cfg, "normalize.input")
+    grouping = get_str(cfg, "normalize.grouping", "good", choices=GROUPINGS)
+    weighted = get_bool(cfg, "normalize.weighted", True)
+    table = load_transactions(path)
+    groups = normalize_prices(table, grouping=grouping, weighted=weighted)
     stds, skipped = group_std_devs(groups)
-    atomic_write_text(
-        out_dir / "group_stds.csv",
-        "value\n" + "".join(f"{float(v)!r}\n" for v in stds.values),
-    )
-    atomic_write_text(
-        out_dir / "summary.txt",
-        _keyvalue([
+    return {
+        "normalized.csv": write_normalized_samples(groups),
+        "group_stds.csv": _column("value", stds.values),
+        "summary.txt": _keyvalue([
             ("transactions", table.size),
             ("groups", len(groups)),
             ("skipped_groups", skipped),
         ]),
-    )
+    }
 
 
-_HANDLERS = {
-    "simulate-kinetic": _cmd_simulate_kinetic,
-    "simulate-meanprice": _cmd_simulate_meanprice,
-    "fixed-point": _cmd_fixed_point,
-    "mixture": _cmd_mixture,
-    "fit": _cmd_fit,
-    "normalize": _cmd_normalize,
-}
+_GRID_KEYS = ("grid.min", "grid.max", "grid.points")
 
-_HELP = {
-    "simulate-kinetic": "run the per-bin matching simulator and export its sales law",
-    "simulate-meanprice": "simulate the multiplicative mean-price ensemble",
-    "fixed-point": "solve the stationary sales law by fixed-point iteration",
-    "mixture": "evaluate the lognormal mixture of conditional price laws",
-    "fit": "fit a price law to a sample file and export the comparison series",
-    "normalize": "normalize transaction prices by group means and pool spreads",
+#: name -> (handler, config keys it reads besides ``seed``, help line). The
+#: help lines live here, not in docstrings, which ``python -OO`` strips.
+_COMMANDS = {
+    "simulate-kinetic": (_simulate_kinetic, {
+        *_GRID_KEYS, "kinetic.eta", "kinetic.dt", "kinetic.horizon",
+        "kinetic.demand_rate", "kinetic.supply_rate",
+        "kinetic.mu_ref", "kinetic.sigma_ref", "kinetic.shape", "kinetic.jitter",
+        "kinetic.x0", "kinetic.z0", "kinetic.stationary_init",
+    }, "run the per-bin matching simulator and export its sales law"),
+    "simulate-meanprice": (_simulate_meanprice, {
+        "sde.omega0", "sde.noise_amp",
+        "sde.dt", "sde.horizon", "sde.n_paths", "sde.store_paths",
+    }, "simulate the multiplicative mean-price ensemble"),
+    "fixed-point": (_fixed_point, {
+        *_GRID_KEYS, "fixedpoint.tol", "fixedpoint.max_iter",
+        "fixedpoint.init", "fixedpoint.init_mu", "fixedpoint.init_sigma",
+    }, "solve the stationary sales law by fixed-point iteration"),
+    "mixture": (_mixture, {
+        *_GRID_KEYS,
+        "mixture.gamma", "mixture.omega", "mixture.shift", "mixture.floor",
+        "mixture.conditional_scale", "mixture.n_nodes", "mixture.rel_tol",
+    }, "evaluate the lognormal mixture of conditional price laws"),
+    "fit": (_fit, {
+        "fit.input", "fit.family", "fit.shift_lo", "fit.shift_hi",
+        "fit.grid_min", "fit.grid_max", "fit.grid_points",
+    }, "fit a price law to a sample file and export the comparison series"),
+    "normalize": (_normalize, {
+        "normalize.input", "normalize.grouping", "normalize.weighted",
+    }, "normalize transaction prices by group means and pool spreads"),
 }
 
 
@@ -365,32 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, handler in _HANDLERS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name])
+    for name, (_, _, help_line) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_line)
         sub.add_argument("config", help="flat key-value config file")
         sub.add_argument("--out", default="out", help="output directory (default: out)")
         sub.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
-        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, known, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
+        require_known(cfg, {"seed", *known})
         seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        args.handler(cfg, seed, out_dir)
-        _write_manifest(out_dir, args.command, seed, cfg)
-    except InputError as exc:
+        artifacts = handler(cfg, seed)
+        artifacts["manifest.txt"] = _manifest(args.command, seed, cfg)
+        for name, text in artifacts.items():
+            atomic_write_text(out_dir / name, text)
+    except (InputError, ModelError, OSError, ValueError) as exc:
         print(f"dispersim: error: {exc}", file=sys.stderr)
-        return 1
-    except ModelError as exc:
-        print(f"dispersim: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"dispersim: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ModelError) else 1
     return 0

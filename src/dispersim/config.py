@@ -70,47 +70,36 @@ def require_known(cfg: dict[str, str], known) -> None:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def get_str(cfg, key, default=_MISSING, choices=None) -> str:
+def _lookup(cfg, key, default, convert, expected: str):
+    """``convert(cfg[key])``, or ``default`` when the key is absent.
+
+    ``convert`` raises ``KeyError`` or ``ValueError`` on a value that is not
+    ``expected``.
+    """
     if key not in cfg:
         if default is _MISSING:
             raise ConfigError(f"missing required config key {key!r}")
         return default
-    value = cfg[key]
-    if choices is not None and value not in choices:
-        raise ConfigError(
-            f"config key {key!r} must be one of {', '.join(choices)}, got {value!r}"
-        )
-    return value
+    try:
+        return convert(cfg[key])
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key!r} must be {expected}, got {cfg[key]!r}")
+
+
+def get_str(cfg, key, default=_MISSING, choices=None) -> str:
+    if choices is None:
+        return _lookup(cfg, key, default, str, "a string")
+    return _lookup(cfg, key, default, {c: c for c in choices}.__getitem__,
+                   f"one of {', '.join(choices)}")
 
 
 def get_float(cfg, key, default=_MISSING) -> float:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}")
+    return _lookup(cfg, key, default, float, "a number")
 
 
 def get_int(cfg, key, default=_MISSING) -> int:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
+    return _lookup(cfg, key, default, int, "an integer")
 
 
 def get_bool(cfg, key, default=_MISSING) -> bool:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    word = cfg[key].lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"config key {key!r} must be a boolean, got {cfg[key]!r}")
-    return _BOOL_WORDS[word]
+    return _lookup(cfg, key, default, lambda word: _BOOL_WORDS[word.lower()], "a boolean")

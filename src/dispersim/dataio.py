@@ -300,8 +300,9 @@ def normalize_prices(
     ValueError
         If ``grouping`` is not one of ``GROUPINGS``.
     ModelError
-        If a group's quantity-weighted mean under the weighted convention
-        misses 1 by more than 1e-12.
+        If a group's normalized prices underflow to 0, or its
+        quantity-weighted mean under the weighted convention misses 1 by
+        more than 1e-12.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
@@ -320,15 +321,21 @@ def normalize_prices(
     ))
     prices = table.price[order]
     quantities = table.quantity[order]
+    # division is monotone, so a group's smallest normalized price is low / mu0
+    lows = np.minimum.reduceat(prices, bounds[:-1]).tolist()
     out = []
     with np.errstate(over="ignore"):
         # each group's sums see its rows in table order, as a per-group copy would
         spent = prices * quantities
-        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+        for key, lo, hi, low in zip(keys, bounds[:-1], bounds[1:], lows):
             p, q = prices[lo:hi], quantities[lo:hi]
             mu0 = float(spent[lo:hi].sum() / q.sum() if weighted else p.mean())
             if not 0.0 < mu0 < math.inf:
                 mu0 = _rescaled_mean_price(p, q, weighted)
+            if low / mu0 == 0.0:
+                raise ModelError(
+                    f"group {key}: normalized price {low!r} / {mu0!r} underflows to 0"
+                )
             group = NormalizedSample(key=key, mu0=mu0, values=p / mu0, weights=q)
             if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
                 raise ModelError(

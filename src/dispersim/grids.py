@@ -9,7 +9,6 @@ invariants on construction.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +114,3 @@ class GriddedDistribution:
     def cdf_at(self, prices) -> np.ndarray:
         """Cumulative values at arbitrary prices by linear interpolation."""
         return np.interp(prices, self.grid, self.cumulative, left=0.0, right=1.0)
-
-    def to_table(self) -> str:
-        """Two-column text table ``price,density`` with 17 significant digits."""
-        buf = io.StringIO()
-        buf.write("price,density\n")
-        for p, d in zip(self.grid, self.density):
-            buf.write(f"{p:.17g},{d:.17g}\n")
-        return buf.getvalue()

@@ -176,11 +176,6 @@ def lognormal_cdf(values, params: LognormalParams) -> np.ndarray:
     return out
 
 
-def lognormal_eval(values, params: LognormalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Density and cumulative at ``values``."""
-    return lognormal_density(values, params), lognormal_cdf(values, params)
-
-
 def lognormal_moments(params: LognormalParams) -> tuple[float, float]:
     """Mean and variance of the shifted lognormal law."""
     g, o = params.gamma, params.omega

@@ -8,6 +8,8 @@ config parser.
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from dispersim import __version__
 from dispersim.cli import main
 from dispersim.config import parse_config
 from dispersim.dataio import write_sample
+from dispersim.fixedpoint import fixed_point_solve
+from dispersim.grids import uniform_grid
 from dispersim.samples import Sample
 
 FIXED_POINT_CFG = """\
@@ -87,6 +91,19 @@ def test_fixed_point_command_writes_artifacts(tmp_path):
     assert float(summary["gap"]) < 1e-2
 
 
+def test_density_table_round_trips_the_library_floats_exactly(tmp_path):
+    code, out = _run(tmp_path, "fixed-point", FIXED_POINT_CFG)
+    assert code == 0
+    law = fixed_point_solve(uniform_grid(0.0, 2.0, 201), None, tol=1e-2).distribution
+    lines = (out / "density.csv").read_text().strip().splitlines()
+    assert lines[0] == "price,density"
+    assert len(lines) == 1 + law.grid.size
+    for line, price, density in zip(lines[1:], law.grid, law.density):
+        p, d = line.split(",")
+        assert float(p) == price
+        assert float(d) == density
+
+
 def test_manifest_reproduces_the_effective_run(tmp_path):
     code, out = _run(tmp_path, "fixed-point", FIXED_POINT_CFG)
     assert code == 0
@@ -140,6 +157,37 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate-meanprice", SDE_CFG + "sde.walras_gain = 0.5\n")
     assert code == 1
     assert "sde.walras_gain" in capsys.readouterr().err
+
+
+def test_keys_the_run_would_ignore_exit_1(tmp_path, capsys):
+    code, out = _run(tmp_path, "simulate-kinetic", KINETIC_CFG + "kinetic.x0 = 1e9\n")
+    assert code == 1
+    assert "kinetic.x0" in capsys.readouterr().err
+    cfg = FIXED_POINT_CFG + "fixedpoint.init_sigma = -1\n"
+    code, _ = _run(tmp_path, "fixed-point", cfg)
+    assert code == 1
+    assert "fixedpoint.init_sigma" in capsys.readouterr().err
+    cfg = FIXED_POINT_CFG + "fixedpoint.init = uniform\nfixedpoint.init_mu = 1\n"
+    code, _ = _run(tmp_path, "fixed-point", cfg)
+    assert code == 1
+    assert "fixedpoint.init_mu" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_initial_state_keys_are_used_where_they_apply(tmp_path):
+    cfg = KINETIC_CFG.replace(
+        "kinetic.stationary_init = yes", "kinetic.stationary_init = no"
+    ) + "kinetic.x0 = 5\nkinetic.z0 = 5\n"
+    code, out = _run(tmp_path, "simulate-kinetic", cfg, "kinetic")
+    assert code == 0
+    series = (out / "series.csv").read_text().splitlines()
+    # from empty books one step of inflow would hold about 1 unit a side
+    assert min(float(v) for v in series[1].split(",")[1:3]) > 4.0
+    cfg = FIXED_POINT_CFG + (
+        "fixedpoint.init = laplace\nfixedpoint.init_mu = 1\nfixedpoint.init_sigma = 0.2\n"
+    )
+    code, _ = _run(tmp_path, "fixed-point", cfg, "fixed")
+    assert code == 0
 
 
 def test_missing_required_key_exits_1(tmp_path, capsys):
@@ -244,6 +292,22 @@ def test_fit_rejects_mismatched_shift_options(tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
+def test_failed_fit_reruns_leave_the_output_directory_untouched(tmp_path, capsys):
+    draws = np.random.default_rng(4).laplace(1.0, 0.125, 1000)
+    sample_path = _write(tmp_path, "sample.csv", write_sample(Sample(draws)))
+    code, out = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = laplace\n")
+    assert code == 0
+    before = _dir_bytes(out)
+    lognormal = f"fit.input = {sample_path}\nfit.family = shifted-lognormal\n"
+    code, _ = _run(tmp_path, "fit", lognormal + "fit.grid_min = 50\nfit.grid_max = 60\n")
+    assert code == 2
+    assert "outside the grid" in capsys.readouterr().err
+    assert _dir_bytes(out) == before
+    code, _ = _run(tmp_path, "fit", lognormal + "fit.grid_min = 2\nfit.grid_max = 1\n")
+    assert code == 1
+    assert _dir_bytes(out) == before
+
+
 def test_fit_missing_input_file_exits_1(tmp_path, capsys):
     cfg = f"fit.input = {tmp_path / 'absent.csv'}\nfit.family = laplace\n"
     code, _ = _run(tmp_path, "fit", cfg)
@@ -275,6 +339,19 @@ def test_normalize_command_writes_groups_without_touching_input(tmp_path):
     assert summary["skipped_groups"] == "0"
 
 
+def test_normalize_underflowing_group_exits_2_without_artifacts(tmp_path, capsys):
+    data_path = _write(
+        tmp_path, "t.csv",
+        "good_id,market_id,quarter,price,quantity\n"
+        "milk,n,2011Q1,1e-300,1\n"
+        "milk,s,2011Q1,1e300,1\n",
+    )
+    code, out = _run(tmp_path, "normalize", f"normalize.input = {data_path}\n")
+    assert code == 2
+    assert "milk" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_normalize_rejects_unknown_grouping(tmp_path, capsys):
     data_path = _write(
         tmp_path, "t.csv",
@@ -300,3 +377,44 @@ def test_version_flag_reports_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+#: Subcommands and their help lines, in the order ``dispersim --help`` lists them.
+HELP_LINES = {
+    "simulate-kinetic": "run the per-bin matching simulator and export its sales law",
+    "simulate-meanprice": "simulate the multiplicative mean-price ensemble",
+    "fixed-point": "solve the stationary sales law by fixed-point iteration",
+    "mixture": "evaluate the lognormal mixture of conditional price laws",
+    "fit": "fit a price law to a sample file and export the comparison series",
+    "normalize": "normalize transaction prices by group means and pool spreads",
+}
+
+
+def _reference_parser():
+    """The command line's documented layout, built by hand with argparse."""
+    parser = argparse.ArgumentParser(
+        prog="dispersim",
+        description="Kinetic market simulation and estimation toolkit "
+                    "for the price dispersion of homogeneous goods.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_line in HELP_LINES.items():
+        sub = subparsers.add_parser(name, help=help_line)
+        sub.add_argument("config", help="flat key-value config file")
+        sub.add_argument("--out", default="out", help="output directory (default: out)")
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in HELP_LINES)])
+def test_help_text_matches_the_documented_layout(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _reference_parser().parse_args(argv)
+    assert text == capsys.readouterr().out
+    assert text.startswith("usage: dispersim")

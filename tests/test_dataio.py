@@ -237,6 +237,19 @@ def test_normalize_rescales_a_group_whose_sums_overflow():
     assert tiny.values[0] == 1.0
 
 
+@pytest.mark.parametrize("weighted", [True, False])
+def test_normalize_refuses_a_group_whose_normalized_prices_underflow(weighted):
+    # mu0 is about 5e299, so 1e-300 / mu0 is 0 in float64
+    table = _table(
+        f"{HEADER_LINE}\n"
+        "rice,n,2011Q1,1.0,1\n"
+        "milk,n,2011Q1,1e-300,1\n"
+        "milk,s,2011Q1,1e300,1\n"
+    )
+    with pytest.raises(ModelError, match="milk.*underflows to 0"):
+        normalize_prices(table, weighted=weighted)
+
+
 def test_groups_come_back_sorted_by_key():
     table = _table(
         f"{HEADER_LINE}\n"

@@ -3,8 +3,10 @@
 Invariants exercised here:
   * from_density always yields a unit-mass density and a cumulative that
     runs from 0 to 1 without ever decreasing,
-  * quantile is the inverse of the cumulative wherever both are defined,
-  * to_table round-trips every float exactly.
+  * quantile is the inverse of the cumulative wherever both are defined.
+
+That a gridded law's ``price,density`` table round-trips every float exactly
+is checked on the CLI's ``density.csv`` in test_cli.py.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ def test_mean_of_symmetric_density_sits_at_center():
     dist = GriddedDistribution.from_density(grid, tent)
     assert dist.mean() == pytest.approx(1.0, abs=1e-12)
     assert dist.spacing == pytest.approx(0.001)
-
-
-def test_to_table_round_trips_floats_exactly():
-    grid = uniform_grid(0.0, 1.0, 17)
-    dist = GriddedDistribution.from_density(grid, np.exp(grid))
-    lines = dist.to_table().strip().splitlines()
-    assert lines[0] == "price,density"
-    assert len(lines) == 18
-    for i, line in enumerate(lines[1:]):
-        p, d = line.split(",")
-        assert float(p) == grid[i]
-        assert float(d) == dist.density[i]
 
 
 @given(
