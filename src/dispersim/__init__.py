@@ -29,6 +29,7 @@ from .errors import (
     NonConvergence,
     QuadratureError,
     StabilityViolation,
+    ZeroMass,
     ZeroSalesVolume,
 )
 from .grids import GriddedDistribution, uniform_grid
@@ -92,7 +93,8 @@ __all__ = [
     "__version__",
     "ConfigError", "DegenerateSample", "DispersimError", "EmptyFeasibleShift",
     "EmptyInput", "InputError", "MalformedRow", "ModelError", "NoIntercept",
-    "NonConvergence", "QuadratureError", "StabilityViolation", "ZeroSalesVolume",
+    "NonConvergence", "QuadratureError", "StabilityViolation", "ZeroMass",
+    "ZeroSalesVolume",
     "GriddedDistribution", "uniform_grid",
     "LaplaceParams", "LognormalParams", "floor_linearization_error",
     "laplace_cdf", "laplace_density", "laplace_eval", "laplace_moments",

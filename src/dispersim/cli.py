@@ -3,11 +3,13 @@
 Every subcommand reads one flat key-value config file and returns its
 artifact tables as text. ``main`` adds a ``manifest.txt`` echoing the
 effective configuration, seed, and package version, which is enough to
-reproduce the run byte for byte, and only then writes the artifacts into
-the output directory, each atomically (temp file plus rename). A run that
-exits 1 or 2 therefore writes no artifact and leaves the files already in
-the output directory as they were; only a failing write can leave part of
-a run's files behind.
+reproduce the run byte for byte, and listing the artifacts the run wrote.
+Only then does it write the artifacts into the output directory, each
+atomically (temp file plus rename), and remove the files that the previous
+manifest there listed and this run did not rewrite. A run that exits 1 or
+2 therefore writes and removes nothing and leaves the output directory as
+it was; only a failing write or removal can leave part of a run's files
+behind.
 
 Exit codes: 0 on success, 1 when the input or configuration is unusable,
 2 when the model or its numerics refuse the run.
@@ -97,10 +99,26 @@ def _keyvalue(pairs) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def _manifest(command: str, seed: int, cfg: dict[str, str]) -> str:
-    pairs = [("command", command), ("version", __version__), ("seed", seed)]
+def _manifest(command: str, seed: int, cfg: dict[str, str], artifacts) -> str:
+    pairs = [("command", command), ("version", __version__), ("seed", seed),
+             ("artifacts", " ".join(sorted(artifacts)))]
     pairs.extend((key, cfg[key]) for key in sorted(cfg) if key != "seed")
     return _keyvalue(pairs)
+
+
+def _listed_artifacts(manifest: Path) -> set[str]:
+    """File names on the ``artifacts`` line of an earlier run's manifest.
+
+    Only bare names count, so that no manifest can point at a file outside
+    its directory.
+    """
+    if not manifest.exists():
+        return set()
+    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() == "artifacts":
+            return {name for name in value.split() if name == Path(name).name}
+    return set()
 
 
 def _grid_from(cfg) -> np.ndarray:
@@ -359,9 +377,13 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts = handler(cfg, seed)
-        artifacts["manifest.txt"] = _manifest(args.command, seed, cfg)
+        artifacts["manifest.txt"] = _manifest(args.command, seed, cfg, artifacts)
+        stale = _listed_artifacts(out_dir / "manifest.txt") - artifacts.keys()
         for name, text in artifacts.items():
             atomic_write_text(out_dir / name, text)
+        for name in stale:
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
     except (InputError, ModelError, OSError, ValueError) as exc:
         print(f"dispersim: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ModelError) else 1

@@ -51,6 +51,10 @@ class StabilityViolation(ModelError):
     """The explicit integration step is too large for the matching rate."""
 
 
+class ZeroMass(ModelError):
+    """A density or an inflow shape carries no mass on the grid."""
+
+
 class NonConvergence(ModelError):
     """An iteration hit its cap; carries the last observed gap."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateSample, EmptyFeasibleShift
 from .grids import GriddedDistribution
@@ -166,6 +165,10 @@ def fit_shifted_lognormal(
     if lo == hi:
         shift = lo
     else:
+        # Imported here, not at the top: loading scipy would make importing
+        # the package, and so every command, several times slower.
+        from scipy.optimize import minimize_scalar
+
         grid = np.linspace(lo, hi, grid_points)
         objective = np.array([negative_profile(g) for g in grid])
         best = int(np.argmin(objective))

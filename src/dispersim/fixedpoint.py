@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import NonConvergence
-from .grids import GriddedDistribution
+from .errors import NonConvergence, ZeroMass
+from .grids import GriddedDistribution, cumulative_trapezoid
 
 __all__ = ["FixedPointResult", "fixed_point_map", "fixed_point_solve"]
 
@@ -37,11 +36,12 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     The input's cumulative is used as computed; the complementary branch is
     ``cum[-1] - cum`` so a seed carrying slightly less than unit mass (a
     truncated closed form evaluated on the grid) is handled consistently.
-    The output integrates to one (trapezoid rule) by construction.
+    The output integrates to one (trapezoid rule) by construction; a
+    density with no mass to map raises :class:`~dispersim.errors.ZeroMass`.
     """
     grid = np.asarray(grid, dtype=float)
     density = np.asarray(density, dtype=float)
-    return _map_cumulative(grid, cumulative_trapezoid(density, grid, initial=0.0))
+    return _map_cumulative(grid, cumulative_trapezoid(density, grid))
 
 
 def _map_cumulative(grid: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def _map_cumulative(grid: np.ndarray, cum: np.ndarray) -> np.ndarray:
     shape = np.where(grid <= p_star, cum, cum[-1] - cum)
     norm = float(np.trapezoid(shape, grid))
     if norm <= 0.0:
-        raise ValueError("density has no mass on the grid")
+        raise ZeroMass("density has no mass on the grid")
     return shape / norm
 
 
@@ -108,11 +108,11 @@ def fixed_point_solve(
         raise ValueError("max_iter must be nonnegative")
 
     density = _seed_density(grid, init)
-    cum = cumulative_trapezoid(density, grid, initial=0.0)
+    cum = cumulative_trapezoid(density, grid)
     gap = np.inf
     for iteration in range(1, max_iter + 1):
         new = _map_cumulative(grid, cum)
-        new_cum = cumulative_trapezoid(new, grid, initial=0.0)
+        new_cum = cumulative_trapezoid(new, grid)
         gap = float(np.max(np.abs(new_cum - cum)))
         density, cum = new, new_cum
         if gap < tol:

@@ -2,9 +2,9 @@
 
 All continuum quantities in the model (sales dispersion, demand/supply
 dispersions) are represented on a uniform price grid and integrated with the
-trapezoidal rule. A :class:`GriddedDistribution` bundles the grid, the
-density values, and the cumulative values, and enforces the normalization
-invariants on construction.
+trapezoidal rule, in numpy alone. A :class:`GriddedDistribution` bundles the
+grid, the density values, and the cumulative values, and enforces the
+normalization invariants on construction.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+
+from .errors import ZeroMass
 
 #: Tolerance on normalization and monotonicity of gridded distributions.
 NORMALIZATION_TOL = 1e-9
@@ -30,6 +31,17 @@ def uniform_grid(p_min: float, p_max: float, n_points: int) -> np.ndarray:
 def trapezoid(values: np.ndarray, grid: np.ndarray) -> float:
     """Trapezoidal integral of ``values`` over ``grid``."""
     return float(np.trapezoid(values, grid))
+
+
+def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral of ``values`` over ``grid``, starting at 0.
+
+    Bit for bit what ``scipy.integrate.cumulative_trapezoid(values, grid,
+    initial=0.0)`` returns, without importing scipy.
+    """
+    values = np.asarray(values, dtype=float)
+    steps = np.diff(grid) * (values[1:] + values[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,11 @@ class GriddedDistribution:
 
     @classmethod
     def from_density(cls, grid, density) -> "GriddedDistribution":
-        """Normalize raw density values and attach the trapezoidal cumulative."""
+        """Normalize raw density values and attach the trapezoidal cumulative.
+
+        Raises :class:`~dispersim.errors.ZeroMass` if the clipped density
+        integrates to zero.
+        """
         grid = np.asarray(grid, dtype=float)
         density = np.asarray(density, dtype=float)
         if density.shape != grid.shape:
@@ -86,9 +102,9 @@ class GriddedDistribution:
             density = density / np.max(density)
             total = trapezoid(density, grid)
         if total <= 0.0:
-            raise ValueError("density has zero total mass")
+            raise ZeroMass("density has zero total mass")
         density = density / total
-        cumulative = cumulative_trapezoid(density, grid, initial=0.0)
+        cumulative = cumulative_trapezoid(density, grid)
         # Guard against roundoff pushing the last node off 1.
         cumulative = np.clip(cumulative / cumulative[-1], 0.0, 1.0)
         return cls(grid=grid, density=density, cumulative=cumulative)

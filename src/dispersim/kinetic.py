@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityViolation, ZeroSalesVolume
+from .errors import StabilityViolation, ZeroMass, ZeroSalesVolume
 from .grids import GriddedDistribution, trapezoid
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
@@ -119,7 +119,11 @@ class InflowSpec:
         return LaplaceParams(mu=self.mu_ref, sigma=self.sigma_ref)
 
     def shape_densities(self, grid) -> tuple[np.ndarray, np.ndarray]:
-        """Demand and supply inflow shapes as unit-integral densities."""
+        """Demand and supply inflow shapes as unit-integral densities.
+
+        Raises :class:`~dispersim.errors.ZeroMass` if either shape
+        underflows to zero on the whole grid.
+        """
         grid = np.asarray(grid, dtype=float)
         ref = self.reference()
         if self.shape == "monotone":
@@ -131,7 +135,7 @@ class InflowSpec:
         d_norm = trapezoid(demand, grid)
         s_norm = trapezoid(supply, grid)
         if d_norm <= 0.0 or s_norm <= 0.0:
-            raise ValueError("inflow shape vanishes on the whole grid")
+            raise ZeroMass("inflow shape vanishes on the whole grid")
         return demand / d_norm, supply / s_norm
 
     def bin_weights(self, grid) -> tuple[np.ndarray, np.ndarray]:

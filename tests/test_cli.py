@@ -44,6 +44,11 @@ kinetic.shape = matched
 kinetic.stationary_init = yes
 """
 
+# Prices 1000 reference scales above mu_ref: both inflow shapes underflow to 0.
+VANISHING_INFLOW_CFG = (KINETIC_CFG.replace("grid.min = 0", "grid.min = 1")
+                        .replace("kinetic.mu_ref = 1.0", "kinetic.mu_ref = 0.0")
+                        .replace("kinetic.sigma_ref = 0.2", "kinetic.sigma_ref = 0.001"))
+
 SDE_CFG = """\
 seed = 3
 sde.omega0 = 0.41
@@ -111,8 +116,9 @@ def test_manifest_reproduces_the_effective_run(tmp_path):
     assert lines[0] == "command = fixed-point"
     assert lines[1] == f"version = {__version__}"
     assert lines[2] == "seed = 5"
+    assert lines[3] == "artifacts = density.csv summary.txt"
     # config keys echoed sorted, with the seed key folded into the seed line
-    assert lines[3:] == [
+    assert lines[4:] == [
         "fixedpoint.tol = 1e-2",
         "grid.max = 2",
         "grid.min = 0",
@@ -148,6 +154,13 @@ def test_kinetic_stability_refusal_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0.1" in err and "stability" in err
     assert not (out / "sales_histogram.csv").exists()
+
+
+def test_kinetic_vanishing_inflow_shape_exits_2_without_artifacts(tmp_path, capsys):
+    code, out = _run(tmp_path, "simulate-kinetic", VANISHING_INFLOW_CFG)
+    assert code == 2
+    assert "inflow shape vanishes" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -219,6 +232,47 @@ def test_meanprice_command_stores_paths(tmp_path):
     # terminal values in the table equal the final path points exactly
     last = [line.split(",") for line in paths[1:] if line.split(",")[1] == "1.0"]
     assert [row[2] for row in last] == terminal[1:]
+
+
+def test_reused_output_directory_drops_the_previous_runs_other_artifacts(tmp_path):
+    code, out = _run(tmp_path, "simulate-meanprice", SDE_CFG)
+    assert code == 0 and (out / "paths.csv").exists()
+    (out / "notes.txt").write_text("kept\n")
+    code, _ = _run(tmp_path, "simulate-meanprice",
+                   SDE_CFG.replace("store_paths = true", "store_paths = false"))
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.txt", "notes.txt", "summary.txt", "terminal.csv"]
+    assert parse_config((out / "manifest.txt").read_text())["artifacts"] == (
+        "summary.txt terminal.csv")
+    # a different subcommand replaces the whole listed set
+    code, _ = _run(tmp_path, "mixture", MIXTURE_CFG)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "density.csv", "manifest.txt", "notes.txt"]
+
+
+def test_failed_reruns_remove_nothing(tmp_path, capsys):
+    code, out = _run(tmp_path, "simulate-meanprice", SDE_CFG)
+    assert code == 0
+    before = _dir_bytes(out)
+    cfg = SDE_CFG.replace("store_paths = true", "store_paths = false")
+    code, _ = _run(tmp_path, "simulate-meanprice", cfg.replace("n_paths = 4", "n_paths = 0"))
+    assert code == 1
+    assert _dir_bytes(out) == before
+    code, _ = _run(tmp_path, "simulate-kinetic", VANISHING_INFLOW_CFG)
+    assert code == 2
+    assert _dir_bytes(out) == before
+
+
+def test_manifest_never_removes_files_outside_its_directory(tmp_path):
+    out = tmp_path / "out"
+    (out / "listed_dir").mkdir(parents=True)
+    (tmp_path / "outside.txt").write_text("kept\n")
+    (out / "manifest.txt").write_text("artifacts = ../outside.txt listed_dir\n")
+    code, _ = _run(tmp_path, "mixture", MIXTURE_CFG)
+    assert code == 0
+    assert (tmp_path / "outside.txt").exists() and (out / "listed_dir").is_dir()
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

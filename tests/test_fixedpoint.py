@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from dispersim.errors import NonConvergence
+from dispersim.errors import NonConvergence, ZeroMass
 from dispersim.estimate import fit_laplace
 from dispersim.fixedpoint import FixedPointResult, fixed_point_map, fixed_point_solve
 from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
@@ -30,7 +30,7 @@ def test_map_of_uniform_is_a_tent():
 
 def test_map_rejects_zero_mass():
     grid = uniform_grid(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroMass, match="no mass on the grid"):
         fixed_point_map(grid, np.zeros(11))
 
 

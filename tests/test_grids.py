@@ -3,7 +3,8 @@
 Invariants exercised here:
   * from_density always yields a unit-mass density and a cumulative that
     runs from 0 to 1 without ever decreasing,
-  * quantile is the inverse of the cumulative wherever both are defined.
+  * quantile is the inverse of the cumulative wherever both are defined,
+  * cumulative_trapezoid returns scipy's bits without importing scipy.
 
 That a gridded law's ``price,density`` table round-trips every float exactly
 is checked on the CLI's ``density.csv`` in test_cli.py.
@@ -15,8 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
-from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
+from dispersim.errors import ZeroMass
+from dispersim.grids import (
+    GriddedDistribution,
+    cumulative_trapezoid,
+    trapezoid,
+    uniform_grid,
+)
 
 
 def test_uniform_grid_endpoints_and_spacing():
@@ -58,7 +66,7 @@ def test_from_density_clips_small_negative_values():
 
 def test_from_density_rejects_zero_mass():
     grid = uniform_grid(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroMass, match="zero total mass"):
         GriddedDistribution.from_density(grid, np.zeros(11))
 
 
@@ -141,3 +149,23 @@ def test_from_density_invariants_hold_for_arbitrary_shapes(values, q):
     assert np.all(np.diff(dist.cumulative) >= -1e-15)
     x = dist.quantile(q)
     assert grid[0] <= x <= grid[-1]
+
+
+@given(
+    n=st.integers(min_value=2, max_value=40_001),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    uniform=st.booleans(),
+    scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]),
+)
+@example(n=2, seed=0, uniform=True, scale=1.0)
+@example(n=40_001, seed=1, uniform=False, scale=1.0)
+def test_cumulative_trapezoid_is_bit_equal_to_scipy(n, seed, uniform, scale):
+    rng = np.random.default_rng(seed)
+    if uniform:
+        grid = uniform_grid(-1.0, 2.0, n)
+    else:
+        grid = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 5.0
+    values = scale * rng.standard_normal(n)
+    ours = cumulative_trapezoid(values, grid)
+    ref = scipy_cumulative_trapezoid(values, grid, initial=0.0)
+    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()

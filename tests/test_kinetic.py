@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dispersim.errors import StabilityViolation, ZeroSalesVolume
+from dispersim.errors import StabilityViolation, ZeroMass, ZeroSalesVolume
 from dispersim.estimate import fit_laplace
 from dispersim.grids import uniform_grid
 from dispersim.kinetic import (
@@ -289,3 +289,11 @@ def test_stationary_state_requires_matched_balanced_inflows():
         stationary_state(grid, 1.0, InflowSpec(1.0, 2.0, 1.0, 0.2, shape="matched"))
     with pytest.raises(ValueError):
         stationary_state(grid, 0.0, InflowSpec(1.0, 1.0, 1.0, 0.2, shape="matched"))
+
+
+@pytest.mark.parametrize("shape", ["monotone", "matched"])
+def test_inflow_shape_that_vanishes_on_the_grid_is_a_model_error(shape):
+    # 1000 reference scales above mu_ref, both shapes underflow to 0
+    inflow = InflowSpec(1.0, 1.0, mu_ref=0.0, sigma_ref=1e-3, shape=shape)
+    with pytest.raises(ZeroMass, match="inflow shape vanishes"):
+        inflow.shape_densities(uniform_grid(1.0, 2.0, 11))

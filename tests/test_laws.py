@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
+from scipy.special import roots_legendre
 
+from dispersim import laws
 from dispersim.errors import QuadratureError
 from dispersim.laws import (
     LaplaceParams,
     LognormalParams,
+    _legendre_rule,
     floor_linearization_error,
     laplace_cdf,
     laplace_density,
@@ -303,3 +306,42 @@ def test_mixture_floor_shifts_support():
     hi = mixture_density(0.55, law, floor=0.5)
     # shifting the floor translates the whole blend
     assert float(hi) == pytest.approx(float(lo), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule, against scipy's as the reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 32, 33, 64, 128, 256, 512, 1024, 2048, 4096])
+def test_legendre_rule_matches_scipy_and_integrates_polynomials_exactly(m):
+    x, w = _legendre_rule(m)
+    ref_x, _ = roots_legendre(m)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(x - ref_x)) <= 2.0 * np.finfo(float).eps
+    assert abs(w.sum() - 2.0) <= 1e-14
+    # an m-node rule integrates x^k exactly for every k <= 2m - 1; with the
+    # nodes fixed, the first m of these moments determine the weights
+    power, worst = np.ones_like(x), 0.0
+    for k in range(2 * m):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        worst = max(worst, abs(float(w @ power) - exact))
+        power = power * x
+    assert worst <= 1e-14
+
+
+# The sharp limit resolves a kink of width 0.005 to rel_tol 1e-3, so its
+# result carries the rules' own rounding further than the smooth grids do.
+@pytest.mark.parametrize("prices, options, bound", [
+    (np.linspace(0.2, 3.0, 401), {}, 1e-13),
+    (np.linspace(0.2, 3.0, 4001), {}, 1e-13),
+    (np.linspace(0.5, 2.0, 31),
+     {"conditional_scale": 0.005, "n_nodes": 65537, "rel_tol": 1e-3}, 1e-10),
+])
+def test_mixture_density_barely_moves_from_the_scipy_rule(prices, options, bound,
+                                                          monkeypatch):
+    law = LognormalParams(gamma=1.0, omega=0.3)
+    ours = mixture_density(prices, law, **options)
+    monkeypatch.setattr(laws, "_legendre_rule", roots_legendre)
+    ref = mixture_density(prices, law, **options)
+    assert np.max(np.abs(ours - ref)) <= bound * np.max(ref)
