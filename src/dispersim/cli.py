@@ -196,11 +196,10 @@ def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
     result = simulate_mean_price(params, store_paths=store_paths)
     artifacts = {"terminal.csv": _column("omega", result.terminal)}
     if store_paths:
-        times = params.dt * np.arange(params.n_steps + 1)
+        times = [repr(t) for t in (params.dt * np.arange(params.n_steps + 1)).tolist()]
         rows = []
-        for i in range(params.n_paths):
-            for t, w in zip(times, result.paths[i]):
-                rows.append(f"{i},{float(t)!r},{float(w)!r}\n")
+        for i, path in enumerate(result.paths):
+            rows.extend(f"{i},{t},{w!r}\n" for t, w in zip(times, path.tolist()))
         artifacts["paths.csv"] = "path_id,time,omega\n" + "".join(rows)
     artifacts["summary.txt"] = _keyvalue([
         ("log_mean", repr(result.log_mean)),

@@ -122,7 +122,15 @@ class GriddedDistribution:
         """Price at cumulative level ``q`` by linear interpolation."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile level must be in [0, 1]")
-        return float(np.interp(q, self.cumulative, self.grid))
+        x = float(np.interp(q, self.cumulative, self.grid))
+        if x == np.inf:
+            # interp's slope overflows on a segment holding subnormal mass;
+            # q lies strictly inside it, so take its fraction of the segment
+            c, g = self.cumulative, self.grid
+            j = int(np.searchsorted(c, q))
+            t = (q - c[j - 1]) / (c[j] - c[j - 1])
+            x = float(g[j - 1] + t * (g[j] - g[j - 1]))
+        return x
 
     def median(self) -> float:
         return self.quantile(0.5)

@@ -7,15 +7,21 @@ pieces live here: the deterministic price-adjustment drift under excess
 demand, and the multiplicative-noise ensemble whose terminal law is
 lognormal.
 
-The gap walk is simulated exactly in log space,
+The gap walk is exact in log space,
 
     log omega_{n+1} = log omega_n + sqrt(2 D dt) * xi_n,    xi_n ~ N(0, 1),
 
-so after a horizon T the gap is lognormal with median ``omega0`` and log
-standard deviation ``sqrt(2 D T)``. The multiplicative noise is read in the
-Stratonovich sense; this is a deliberate choice, since the alternating
-convention would add a spurious ``-D t`` drift in log space and the
-terminal law would no longer have ``omega0`` as its median.
+so after ``N = n_steps`` steps of ``dt`` the gap is lognormal with median
+``omega0`` and log standard deviation ``sqrt(2 D N dt)``. The ensemble
+draws that terminal value directly, one normal per path, and fills stored
+paths by a discrete Brownian bridge pinned to it (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2003, sec. 3.1); ``dt`` shapes the
+stored paths and rounds the horizon to whole steps, nothing else.
+
+The multiplicative noise is read in the Stratonovich sense; this is a
+deliberate choice, since the alternating convention would add a spurious
+``-D t`` drift in log space and the terminal law would no longer have
+``omega0`` as its median.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class SdeParams:
 
     ``omega0`` is the common initial gap, ``noise_amp`` the white-noise
     intensity D (the noise autocorrelation is ``2 D`` times a delta), and
-    ``seed`` the base of the per-path seed sequence.
+    ``seed`` the root of the terminal and bridge streams.
     """
 
     omega0: float
@@ -76,33 +82,56 @@ class EnsembleResult:
     paths: np.ndarray | None = None
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Generator for one path, independent of how many paths are drawn."""
-    return np.random.default_rng((seed, path_index))
-
-
 def simulate_mean_price(params: SdeParams, store_paths: bool = False) -> EnsembleResult:
     """Simulate the gap ensemble to the horizon.
 
-    Each path draws its increments from its own counter-seeded stream, so
-    path i is identical no matter the ensemble size or the order of
-    simulation, and the whole ensemble is reproducible from the seed alone.
-    Positivity of every gap is structural: only logs are ever updated.
+    The ``n_steps`` log increments of a path sum to one Gaussian, so the
+    terminal gap is a single draw per path,
+
+        log omega(T) = log omega0 + sqrt(2 D dt) * sqrt(n_steps) * xi,
+
+    and a run without stored paths costs O(n_paths) in time and memory.
+    Stored paths are a discrete Brownian bridge pinned to that terminal
+    value: with ``W`` the running sum of a second block of standard normals
+    and ``s = sqrt(2 D dt)``, step k is
+
+        log omega0 + s * (W_k - (k/N) W_N) + (k/N) (log omega(T) - log omega0),
+
+    which has the joint law of the step-by-step walk (covariance
+    ``s**2 * min(j, k)``). So ``dt`` shapes the stored paths only; the
+    terminal law depends on ``n_steps * dt``.
+
+    Two streams spawned from the seed draw the terminal normals and the
+    bridge block, both row-major, so path i does not depend on the ensemble
+    size, and the terminal values are bitwise the same with and without
+    stored paths. Positivity of every gap is structural: only logs are
+    ever drawn.
     """
     n_steps = params.n_steps
     step_scale = np.sqrt(2.0 * params.noise_amp * params.dt)
     log_omega0 = np.log(params.omega0)
-    terminal = np.empty(params.n_paths)
-    paths = np.empty((params.n_paths, n_steps + 1)) if store_paths else None
-    for i in range(params.n_paths):
-        increments = path_rng(params.seed, i).standard_normal(n_steps)
-        # the terminal value never depends on whether paths are stored
-        terminal[i] = np.exp(log_omega0 + step_scale * increments.sum())
-        if store_paths:
-            log_path = log_omega0 + step_scale * np.cumsum(increments)
-            paths[i, 0] = params.omega0
-            paths[i, 1:] = np.exp(log_path)
-            paths[i, -1] = terminal[i]
+    terminal_seq, bridge_seq = np.random.SeedSequence(params.seed).spawn(2)
+    xi = np.random.default_rng(terminal_seq).standard_normal(params.n_paths)
+    log_gain = step_scale * np.sqrt(n_steps) * xi
+    terminal = np.exp(log_omega0 + log_gain)
+    paths = None
+    if store_paths:
+        # the output block is allocated before the scratch block (the other
+        # order raised the process's peak RSS) and the pin is built inside
+        # it, so no third (n_paths, n_steps) array is held
+        paths = np.empty((params.n_paths, n_steps + 1))
+        walk = np.random.default_rng(bridge_seq).standard_normal((params.n_paths, n_steps))
+        np.cumsum(walk, axis=1, out=walk)
+        walk *= step_scale
+        walk += log_omega0
+        # pin each row to its terminal: step k takes k/N of the end mismatch
+        fraction = np.arange(1, n_steps + 1) / n_steps
+        pin = paths[:, 1:]
+        np.multiply(walk[:, -1:] - (log_omega0 + log_gain[:, None]), fraction, out=pin)
+        walk -= pin
+        np.exp(walk, out=pin)
+        paths[:, 0] = params.omega0
+        paths[:, -1] = terminal
     logs = np.log(terminal)
     log_std = float(np.std(logs, ddof=1)) if params.n_paths > 1 else 0.0
     return EnsembleResult(
@@ -118,9 +147,10 @@ def implied_lognormal(params: SdeParams) -> LognormalParams:
 
     The log walk keeps ``log omega`` Gaussian at every step, so the
     terminal gap is lognormal with median ``omega0`` and log standard
-    deviation ``sqrt(2 D T)`` at any finite horizon; no asymptotic limit
-    is involved. The floor price is not part of the gap law and is carried
-    separately as a shift by callers describing the mean price
+    deviation ``sqrt(2 D T)`` with ``T = n_steps * dt``, the horizon the
+    walk actually runs (``horizon`` rounded to whole steps); no asymptotic
+    limit is involved. The floor price is not part of the gap law and is
+    carried separately as a shift by callers describing the mean price
     ``mu = mu_m + omega``.
 
     Raises
@@ -129,7 +159,7 @@ def implied_lognormal(params: SdeParams) -> LognormalParams:
         If ``D * T`` vanishes, leaving a point mass no lognormal can
         represent.
     """
-    spread = 2.0 * params.noise_amp * params.horizon
+    spread = 2.0 * params.noise_amp * params.n_steps * params.dt
     if spread <= 0.0:
         raise DegenerateSample("D * T is zero; the terminal law is a point mass")
     return LognormalParams(gamma=params.omega0, omega=float(np.sqrt(spread)), shift=0.0)

@@ -19,6 +19,7 @@ from dispersim.config import parse_config
 from dispersim.dataio import write_sample
 from dispersim.fixedpoint import fixed_point_solve
 from dispersim.grids import uniform_grid
+from dispersim.meanprice import SdeParams, simulate_mean_price
 from dispersim.samples import Sample
 
 FIXED_POINT_CFG = """\
@@ -232,6 +233,22 @@ def test_meanprice_command_stores_paths(tmp_path):
     # terminal values in the table equal the final path points exactly
     last = [line.split(",") for line in paths[1:] if line.split(",")[1] == "1.0"]
     assert [row[2] for row in last] == terminal[1:]
+
+
+def test_paths_csv_bytes_match_per_element_formatting(tmp_path):
+    # dt = 0.1 gives times such as 0.30000000000000004, so every float goes
+    # through repr exactly as numpy scalars formatted one by one would
+    cfg = SDE_CFG.replace("sde.dt = 0.25", "sde.dt = 0.1").replace("n_paths = 4", "n_paths = 7")
+    code, out = _run(tmp_path, "simulate-meanprice", cfg)
+    assert code == 0
+    params = SdeParams(omega0=0.41, noise_amp=0.03, dt=0.1, horizon=1.0, n_paths=7, seed=3)
+    result = simulate_mean_price(params, store_paths=True)
+    times = params.dt * np.arange(params.n_steps + 1)
+    expected = ["path_id,time,omega\n"]
+    for i in range(params.n_paths):
+        for t, w in zip(times, result.paths[i]):
+            expected.append(f"{i},{float(t)!r},{float(w)!r}\n")
+    assert (out / "paths.csv").read_bytes() == "".join(expected).encode()
 
 
 def test_reused_output_directory_drops_the_previous_runs_other_artifacts(tmp_path):

@@ -133,12 +133,24 @@ def test_mean_of_symmetric_density_sits_at_center():
     assert dist.spacing == pytest.approx(0.001)
 
 
+def test_quantile_inside_a_segment_of_subnormal_mass():
+    # the cumulative rises by about 1.5e-313 per segment before the last node,
+    # so interpolating price against it overflows the slope
+    grid = uniform_grid(0.0, 1.0, 4)
+    dist = GriddedDistribution.from_density(grid, np.array([0.0, 2.2250738585e-313, 0.0, 1.5]))
+    q = 0.5 * (dist.cumulative[1] + dist.cumulative[2])
+    assert dist.quantile(q) == pytest.approx(0.5, abs=1e-9)
+    assert dist.quantile(dist.cumulative[1]) == grid[1]
+
+
 @given(
     st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=40),
     st.floats(min_value=0.0, max_value=1.0),
 )
 # subnormal values whose trapezoid underflows to zero on the unit grid
 @example(values=[0.0, 5e-324, 5e-324], q=0.0)
+# a quantile inside a segment of subnormal mass
+@example(values=[0.0, 2.2250738585e-313, 0.0, 1.5], q=2.2250738585e-313)
 def test_from_density_invariants_hold_for_arbitrary_shapes(values, q):
     raw = np.asarray(values)
     if trapezoid(raw, np.arange(raw.size, dtype=float)) <= 0.0:

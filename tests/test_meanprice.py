@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from dispersim.errors import DegenerateSample
 from dispersim.meanprice import (
     EnsembleResult,
     SdeParams,
     implied_lognormal,
-    path_rng,
     simulate_mean_price,
     walras_rhs,
 )
@@ -103,12 +105,49 @@ def test_each_path_is_independent_of_ensemble_size():
     np.testing.assert_array_equal(small.terminal, large.terminal[:8])
 
 
-def test_path_rng_streams_are_stable_and_distinct():
-    a = path_rng(3, 5).standard_normal(4)
-    b = path_rng(3, 5).standard_normal(4)
-    np.testing.assert_array_equal(a, b)
-    c = path_rng(3, 6).standard_normal(4)
-    assert not np.array_equal(a, c)
+def test_stored_paths_are_a_prefix_of_a_larger_ensemble():
+    small = simulate_mean_price(_params(n_paths=8), store_paths=True)
+    large = simulate_mean_price(_params(n_paths=64), store_paths=True)
+    np.testing.assert_array_equal(small.terminal, large.terminal[:8])
+    np.testing.assert_array_equal(small.paths, large.paths[:8])
+
+
+def test_different_seeds_draw_different_paths():
+    a = simulate_mean_price(_params(n_paths=8, seed=3), store_paths=True)
+    b = simulate_mean_price(_params(n_paths=8, seed=4), store_paths=True)
+    assert not np.any(a.terminal == b.terminal)
+    assert not np.any(a.paths[:, 1:] == b.paths[:, 1:])
+
+
+def test_stored_paths_follow_the_step_by_step_walk_law():
+    # the bridge must give every step the walk's increment law, not only
+    # the pinned end: at the midpoint an unpinned or unscaled bridge has
+    # the wrong variance
+    params = _params(omega0=0.41, noise_amp=0.03, dt=0.02, horizon=1.0,
+                     n_paths=4000, seed=11)
+    result = simulate_mean_price(params, store_paths=True)
+    logs = np.log(result.paths)
+    step_std = np.sqrt(2.0 * 0.03 * 0.02)
+    increments = np.diff(logs, axis=1)
+    assert np.std(increments) == pytest.approx(step_std, rel=0.01)
+    assert abs(np.mean(increments)) < 0.01 * step_std
+    half = params.n_steps // 2
+    mid = kstest(logs[:, half], "norm", args=(np.log(0.41), step_std * np.sqrt(half)))
+    assert mid.pvalue > 1e-3
+
+
+def test_terminal_only_run_allocates_per_path_not_per_step():
+    # 1e9 path steps: drawing the increments would allocate 8 MB per path
+    params = _params(dt=1e-6, horizon=1.0, n_paths=1000)
+    assert params.n_steps == 1_000_000
+    tracemalloc.start()
+    try:
+        result = simulate_mean_price(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.terminal.shape == (1000,)
+    assert peak < 1_000_000
 
 
 def test_stored_paths_have_expected_geometry():
@@ -159,6 +198,14 @@ def test_implied_lognormal_can_hit_a_requested_spread():
     noise = target**2 / 2.0
     law = implied_lognormal(_params(omega0=0.41, noise_amp=noise, horizon=1.0))
     assert law.omega == pytest.approx(target, rel=1e-12)
+
+
+def test_implied_lognormal_uses_the_horizon_the_walk_runs():
+    # dt = 0.3 rounds a horizon of 1 to three steps, T = 0.9
+    params = _params(noise_amp=0.03, dt=0.3, horizon=1.0, n_paths=20_000, seed=2)
+    law = implied_lognormal(params)
+    assert law.omega == pytest.approx(np.sqrt(2.0 * 0.03 * 0.9), rel=1e-12)
+    assert simulate_mean_price(params).log_std == pytest.approx(law.omega, abs=0.005)
 
 
 def test_implied_lognormal_rejects_point_mass():
