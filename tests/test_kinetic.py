@@ -5,11 +5,15 @@ Invariants exercised here:
     exactly by what flowed in,
   * bin populations never go negative thanks to the transaction cap,
   * runs are bit-for-bit reproducible for a fixed seed,
+  * the step loop's scratch memory grows with neither the run length nor
+    the grid, and the worst depletion fraction is reported,
   * the matched closure admits an exactly stationary state whose sales
     law, supply-demand intercept, and totals all sit still.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from dispersim.errors import StabilityViolation, ZeroMass, ZeroSalesVolume
 from dispersim.estimate import fit_laplace
 from dispersim.grids import uniform_grid
 from dispersim.kinetic import (
+    _SCRATCH_BYTES,
     STABILITY_BOUND,
     InflowSpec,
     MarketState,
@@ -87,6 +92,8 @@ def test_stocks_stay_nonnegative_under_aggressive_matching():
     init = initial_state(grid, 1.0, inflow)
     result = run(init, inflow, dt=0.05, horizon=20.0)
     assert result.cap_hits > 0
+    # the run leaves the regime that the t = 0 bound guards, and says so
+    assert result.worst_depletion > STABILITY_BOUND
     assert np.all(result.final_state.x_bins >= 0.0)
     assert np.all(result.final_state.z_bins >= 0.0)
     assert np.all(result.x_series >= 0.0) and np.all(result.z_series >= 0.0)
@@ -255,6 +262,40 @@ def test_monotone_inflows_from_empty_build_two_sided_exponential_sales():
     assert fit.params.mu == pytest.approx(1.0, abs=0.02)
     assert fit.params.sigma == pytest.approx(0.2, rel=0.1)
     assert fit.ks_distance < 0.05
+
+
+def test_worst_depletion_is_the_largest_fraction_over_entering_stocks():
+    grid = uniform_grid(0.0, 1.0, 2)
+    state = MarketState(grid, np.array([0.5, 0.2]), np.array([0.1, 0.3]), eta=1.0)
+    inflow = InflowSpec(0.0, 10.0, mu_ref=0.5, sigma_ref=0.2)
+    result = run(state, inflow, dt=0.1, horizon=0.3)
+    # z grows by 0.5 per bin per step; the stocks after the last step do not
+    # enter a step, so they do not count
+    x = state.x_bins.copy()
+    z = state.z_bins.copy()
+    worst = 0.0
+    for _ in range(3):
+        worst = max(worst, 0.1 * max(x.max(), z.max()))
+        sold = np.minimum(0.1 * x * z, np.minimum(x, z))
+        x, z = x - sold, z - sold + 10.0 * 0.1 * inflow.bin_weights(grid)[1]
+    assert result.worst_depletion == pytest.approx(worst, rel=1e-12)
+    assert result.worst_depletion < 0.1 * max(x.max(), z.max())
+
+
+def test_step_loop_scratch_is_bounded_in_steps_and_bins():
+    grid = uniform_grid(0.0, 2.0, 2001)
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched", jitter=0.2)
+    state = stationary_state(grid, 1.0, inflow)
+    n_steps = 20_000
+    tracemalloc.start()
+    try:
+        run(state, inflow, dt=0.01, horizon=n_steps * 0.01, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # times, x_series, z_series and sales_rate_series, the scratch budget,
+    # and a few grid-length arrays (weights, sales, final stocks, the law)
+    assert peak < 4 * 8 * n_steps + _SCRATCH_BYTES + 16 * 8 * grid.size
 
 
 def test_run_series_are_consistent_with_event_count():

@@ -26,7 +26,8 @@ def test_readme_kinetic_config_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate-kinetic", str(cfg), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.txt", "sales_histogram.csv", "series.csv", "summary.txt",
+        "diagnostics.txt", "manifest.txt", "sales_histogram.csv", "series.csv",
+        "summary.txt",
     ]
 
 
