@@ -1,9 +1,12 @@
 """Command-line orchestration: seeded runs, artifact files, run manifests.
 
 Every subcommand reads one flat key-value config file and returns its
-artifact tables as text. ``main`` adds a ``manifest.txt`` echoing the
-effective configuration, seed, and package version, which is enough to
-reproduce the run byte for byte, and listing the artifacts the run wrote.
+artifact tables as text. Before it loads an input file or calls into the
+model, a subcommand refuses every config key that it did not read, such as
+a typo or an option that the chosen mode ignores. ``main`` adds a
+``manifest.txt`` echoing the effective configuration, seed, and package
+version, which is enough to reproduce the run byte for byte, and listing
+the artifacts the run wrote.
 Only then does it write the artifacts into the output directory, each
 atomically (temp file plus rename), and remove the files that the previous
 manifest there listed and this run did not rewrite. A run that exits 1 or
@@ -32,7 +35,6 @@ from .config import (
     get_int,
     get_str,
     load_config,
-    require_known,
 )
 from .dataio import (
     GROUPINGS,
@@ -136,13 +138,6 @@ def _grid_from(cfg) -> np.ndarray:
     )
 
 
-def _refuse_unused(cfg, keys, reason: str) -> None:
-    """Reject keys that the run would otherwise accept and then ignore."""
-    given = [key for key in keys if key in cfg]
-    if given:
-        raise ConfigError(f"unused config keys {', '.join(given)}: {reason}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: (cfg, seed) -> {artifact file name: text}
 # ---------------------------------------------------------------------------
@@ -159,22 +154,17 @@ def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
         jitter=get_float(cfg, "kinetic.jitter", 0.0),
     )
     eta = get_float(cfg, "kinetic.eta")
-    if get_bool(cfg, "kinetic.stationary_init", False):
-        _refuse_unused(cfg, ("kinetic.x0", "kinetic.z0"),
-                       "initial totals only apply without kinetic.stationary_init")
-        state = stationary_state(grid, eta, inflow)
-    else:
-        state = initial_state(
-            grid, eta, inflow,
-            x_total=get_float(cfg, "kinetic.x0", 0.0),
-            z_total=get_float(cfg, "kinetic.z0", 0.0),
-        )
-    result = run(
-        state, inflow,
-        dt=get_float(cfg, "kinetic.dt"),
-        horizon=get_float(cfg, "kinetic.horizon"),
-        seed=seed,
-    )
+    stationary = get_bool(cfg, "kinetic.stationary_init", False)
+    totals = {} if stationary else {
+        "x_total": get_float(cfg, "kinetic.x0", 0.0),
+        "z_total": get_float(cfg, "kinetic.z0", 0.0),
+    }
+    dt = get_float(cfg, "kinetic.dt")
+    horizon = get_float(cfg, "kinetic.horizon")
+    cfg.refuse_unread()
+    state = (stationary_state(grid, eta, inflow) if stationary
+             else initial_state(grid, eta, inflow, **totals))
+    result = run(state, inflow, dt=dt, horizon=horizon, seed=seed)
     sales = result.sales_histogram
     return {
         "sales_histogram.csv": _table("price,density", sales.grid, sales.density),
@@ -203,6 +193,7 @@ def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
         seed=seed,
     )
     store_paths = get_bool(cfg, "sde.store_paths", False)
+    cfg.refuse_unread()
     result = simulate_mean_price(params, store_paths=store_paths)
     artifacts = {"terminal.csv": _column("omega", result.terminal)}
     if store_paths:
@@ -221,20 +212,18 @@ def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
 
 def _fixed_point(cfg, seed: int) -> dict[str, str]:
     grid = _grid_from(cfg)
-    init_kind = get_str(cfg, "fixedpoint.init", "uniform", choices=("uniform", "laplace"))
-    if init_kind == "laplace":
-        init = laplace_density(grid, LaplaceParams(
+    init = None
+    if get_str(cfg, "fixedpoint.init", "uniform", choices=("uniform", "laplace")) == "laplace":
+        init = LaplaceParams(
             mu=get_float(cfg, "fixedpoint.init_mu"),
             sigma=get_float(cfg, "fixedpoint.init_sigma"),
-        ))
-    else:
-        _refuse_unused(cfg, ("fixedpoint.init_mu", "fixedpoint.init_sigma"),
-                       "the initial law's parameters need fixedpoint.init = laplace")
-        init = None
+        )
+    tol = get_float(cfg, "fixedpoint.tol", 1e-3)
+    max_iter = get_int(cfg, "fixedpoint.max_iter", 200)
+    cfg.refuse_unread()
     result = fixed_point_solve(
-        grid, init,
-        tol=get_float(cfg, "fixedpoint.tol", 1e-3),
-        max_iter=get_int(cfg, "fixedpoint.max_iter", 200),
+        grid, None if init is None else laplace_density(grid, init),
+        tol=tol, max_iter=max_iter,
     )
     law = result.distribution
     return {
@@ -253,13 +242,14 @@ def _mixture(cfg, seed: int) -> dict[str, str]:
         omega=get_float(cfg, "mixture.omega"),
         shift=get_float(cfg, "mixture.shift", 0.0),
     )
-    density = mixture_density(
-        grid, law,
-        floor=get_float(cfg, "mixture.floor", 0.0),
-        conditional_scale=get_float(cfg, "mixture.conditional_scale", 1.0),
-        n_nodes=get_int(cfg, "mixture.n_nodes", 4097),
-        rel_tol=get_float(cfg, "mixture.rel_tol", 1e-6),
-    )
+    options = {
+        "floor": get_float(cfg, "mixture.floor", 0.0),
+        "conditional_scale": get_float(cfg, "mixture.conditional_scale", 1.0),
+        "n_nodes": get_int(cfg, "mixture.n_nodes", 4097),
+        "rel_tol": get_float(cfg, "mixture.rel_tol", 1e-6),
+    }
+    cfg.refuse_unread()
+    density = mixture_density(grid, law, **options)
     return {"density.csv": _table("price,density", grid, density)}
 
 
@@ -267,21 +257,22 @@ def _fit(cfg, seed: int) -> dict[str, str]:
     family = get_str(
         cfg, "fit.family", choices=(FAMILY_LAPLACE, FAMILY_SHIFTED_LOGNORMAL)
     )
-    has_lo, has_hi = "fit.shift_lo" in cfg, "fit.shift_hi" in cfg
-    if family == FAMILY_LAPLACE:
-        _refuse_unused(cfg, ("fit.shift_lo", "fit.shift_hi"),
-                       "shift bounds only apply to the shifted-lognormal family")
-    elif has_lo != has_hi:
-        raise ConfigError("fit.shift_lo and fit.shift_hi must be given together")
-    bounds = (
-        (get_float(cfg, "fit.shift_lo"), get_float(cfg, "fit.shift_hi"))
-        if has_lo else None
-    )
-    sample = load_sample(get_str(cfg, "fit.input"))
+    bounds = None
+    if family == FAMILY_SHIFTED_LOGNORMAL:
+        lo, hi = get_float(cfg, "fit.shift_lo", None), get_float(cfg, "fit.shift_hi", None)
+        if (lo is None) != (hi is None):
+            raise ConfigError("fit.shift_lo and fit.shift_hi must be given together")
+        bounds = None if lo is None else (lo, hi)
+    path = get_str(cfg, "fit.input")
+    grid_min = get_float(cfg, "fit.grid_min", None)
+    grid_max = get_float(cfg, "fit.grid_max", None)
+    grid_points = get_int(cfg, "fit.grid_points", 201)
+    cfg.refuse_unread()
+    sample = load_sample(path)
     grid = uniform_grid(
-        get_float(cfg, "fit.grid_min", float(sample.values.min())),
-        get_float(cfg, "fit.grid_max", float(sample.values.max())),
-        get_int(cfg, "fit.grid_points", 201),
+        float(sample.values.min()) if grid_min is None else grid_min,
+        float(sample.values.max()) if grid_max is None else grid_max,
+        grid_points,
     )
     empirical, _ = histogram(sample, grid)
     if family == FAMILY_LAPLACE:
@@ -303,6 +294,7 @@ def _normalize(cfg, seed: int) -> dict[str, str]:
     path = get_str(cfg, "normalize.input")
     grouping = get_str(cfg, "normalize.grouping", "good", choices=GROUPINGS)
     weighted = get_bool(cfg, "normalize.weighted", True)
+    cfg.refuse_unread()
     table = load_transactions(path)
     groups = normalize_prices(table, grouping=grouping, weighted=weighted)
     stds, skipped = group_std_devs(groups)
@@ -317,37 +309,21 @@ def _normalize(cfg, seed: int) -> dict[str, str]:
     }
 
 
-_GRID_KEYS = ("grid.min", "grid.max", "grid.points")
-
-#: name -> (handler, config keys it reads besides ``seed``, help line). The
-#: help lines live here, not in docstrings, which ``python -OO`` strips.
+#: name -> (handler, help line). The help lines live here, not in
+#: docstrings, which ``python -OO`` strips.
 _COMMANDS = {
-    "simulate-kinetic": (_simulate_kinetic, {
-        *_GRID_KEYS, "kinetic.eta", "kinetic.dt", "kinetic.horizon",
-        "kinetic.demand_rate", "kinetic.supply_rate",
-        "kinetic.mu_ref", "kinetic.sigma_ref", "kinetic.shape", "kinetic.jitter",
-        "kinetic.x0", "kinetic.z0", "kinetic.stationary_init",
-    }, "run the per-bin matching simulator and export its sales law"),
-    "simulate-meanprice": (_simulate_meanprice, {
-        "sde.omega0", "sde.noise_amp",
-        "sde.dt", "sde.horizon", "sde.n_paths", "sde.store_paths",
-    }, "simulate the multiplicative mean-price ensemble"),
-    "fixed-point": (_fixed_point, {
-        *_GRID_KEYS, "fixedpoint.tol", "fixedpoint.max_iter",
-        "fixedpoint.init", "fixedpoint.init_mu", "fixedpoint.init_sigma",
-    }, "solve the stationary sales law by fixed-point iteration"),
-    "mixture": (_mixture, {
-        *_GRID_KEYS,
-        "mixture.gamma", "mixture.omega", "mixture.shift", "mixture.floor",
-        "mixture.conditional_scale", "mixture.n_nodes", "mixture.rel_tol",
-    }, "evaluate the lognormal mixture of conditional price laws"),
-    "fit": (_fit, {
-        "fit.input", "fit.family", "fit.shift_lo", "fit.shift_hi",
-        "fit.grid_min", "fit.grid_max", "fit.grid_points",
-    }, "fit a price law to a sample file and export the comparison series"),
-    "normalize": (_normalize, {
-        "normalize.input", "normalize.grouping", "normalize.weighted",
-    }, "normalize transaction prices by group means and pool spreads"),
+    "simulate-kinetic": (
+        _simulate_kinetic, "run the per-bin matching simulator and export its sales law"),
+    "simulate-meanprice": (
+        _simulate_meanprice, "simulate the multiplicative mean-price ensemble"),
+    "fixed-point": (
+        _fixed_point, "solve the stationary sales law by fixed-point iteration"),
+    "mixture": (
+        _mixture, "evaluate the lognormal mixture of conditional price laws"),
+    "fit": (
+        _fit, "fit a price law to a sample file and export the comparison series"),
+    "normalize": (
+        _normalize, "normalize transaction prices by group means and pool spreads"),
 }
 
 
@@ -367,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (_, _, help_line) in _COMMANDS.items():
+    for name, (_, help_line) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_line)
         sub.add_argument("config", help="flat key-value config file")
         sub.add_argument("--out", default="out", help="output directory (default: out)")
@@ -378,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, known, _ = _COMMANDS[args.command]
+    handler, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        require_known(cfg, {"seed", *known})
-        seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
+        config_seed = get_int(cfg, "seed", 0)
+        seed = config_seed if args.seed is None else args.seed
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts = handler(cfg, seed)

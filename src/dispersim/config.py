@@ -5,10 +5,14 @@ dotted prefixes group keys by module (``kinetic.eta = 0.5``), ``#`` starts
 a full-line comment, and blank lines are ignored. Flat text diffs cleanly
 and parses identically everywhere; there is no nesting, quoting, or
 interpolation.
+
+A parsed file records every key the ``get_*`` readers look up, so that a
+run can refuse the keys it never read instead of ignoring them.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -21,7 +25,22 @@ _BOOL_WORDS = {
 }
 
 
-def parse_config(text: str) -> dict[str, str]:
+class Config(dict):
+    """Ordered ``key -> value`` strings that remember which keys were read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+    def refuse_unread(self) -> None:
+        """Raise :class:`ConfigError` naming every key no reader looked up."""
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ConfigError(
+                f"unknown config keys: {', '.join(unread)} (not read by this run)")
+
+
+def parse_config(text: str) -> Config:
     """Parse config text into an ordered key-value mapping.
 
     Raises
@@ -29,7 +48,7 @@ def parse_config(text: str) -> dict[str, str]:
     ConfigError
         On a line without ``=``, an empty key, or a duplicate key.
     """
-    out: dict[str, str] = {}
+    out = Config()
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -47,7 +66,7 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def load_config(path) -> dict[str, str]:
+def load_config(path) -> Config:
     """Read and parse a config file.
 
     Raises
@@ -63,19 +82,14 @@ def load_config(path) -> dict[str, str]:
     return parse_config(text)
 
 
-def require_known(cfg: dict[str, str], known) -> None:
-    """Reject unknown keys so typos fail fast instead of silently."""
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-
 def _lookup(cfg, key, default, convert, expected: str):
     """``convert(cfg[key])``, or ``default`` when the key is absent.
 
     ``convert`` raises ``KeyError`` or ``ValueError`` on a value that is not
-    ``expected``.
+    ``expected``. A :class:`Config` records ``key`` as read.
     """
+    if isinstance(cfg, Config):
+        cfg.read.add(key)
     if key not in cfg:
         if default is _MISSING:
             raise ConfigError(f"missing required config key {key!r}")
@@ -93,8 +107,15 @@ def get_str(cfg, key, default=_MISSING, choices=None) -> str:
                    f"one of {', '.join(choices)}")
 
 
+def _finite_float(word: str) -> float:
+    value = float(word)
+    if not math.isfinite(value):
+        raise ValueError(word)
+    return value
+
+
 def get_float(cfg, key, default=_MISSING) -> float:
-    return _lookup(cfg, key, default, float, "a number")
+    return _lookup(cfg, key, default, _finite_float, "a finite number")
 
 
 def get_int(cfg, key, default=_MISSING) -> int:

@@ -9,7 +9,7 @@ Kolmogorov-Smirnov distance against the fitted law itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,14 +50,8 @@ class FitResult:
     def to_record(self) -> dict[str, str]:
         """Flat key-value form for serialization."""
         record = {"family": self.family}
-        if isinstance(self.params, LaplaceParams):
-            record["mu"] = repr(self.params.mu)
-            record["sigma"] = repr(self.params.sigma)
-            record["mu_m"] = repr(self.params.mu_m)
-        else:
-            record["gamma"] = repr(self.params.gamma)
-            record["omega"] = repr(self.params.omega)
-            record["shift"] = repr(self.params.shift)
+        for field in fields(self.params):
+            record[field.name] = repr(getattr(self.params, field.name))
         record["loglik"] = repr(self.log_likelihood)
         record["ks"] = repr(self.ks_distance)
         record["n"] = str(self.n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMass
+from .errors import ModelError, ZeroMass
 
 #: Tolerance on normalization and monotonicity of gridded distributions.
 NORMALIZATION_TOL = 1e-9
@@ -50,6 +50,7 @@ class GriddedDistribution:
 
     Invariants (checked on construction):
       * grid strictly increasing,
+      * density and cumulative finite,
       * density nonnegative with trapezoidal integral 1 within 1e-9,
       * cumulative nondecreasing from 0 to 1 within 1e-9.
 
@@ -73,6 +74,8 @@ class GriddedDistribution:
             raise ValueError("density and cumulative must match the grid shape")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
+        if not (np.all(np.isfinite(density)) and np.all(np.isfinite(cumulative))):
+            raise ValueError("density and cumulative must be finite")
         if np.any(density < -NORMALIZATION_TOL):
             raise ValueError("density has negative values")
         total = trapezoid(density, grid)
@@ -87,13 +90,16 @@ class GriddedDistribution:
     def from_density(cls, grid, density) -> "GriddedDistribution":
         """Normalize raw density values and attach the trapezoidal cumulative.
 
-        Raises :class:`~dispersim.errors.ZeroMass` if the clipped density
-        integrates to zero.
+        Raises :class:`~dispersim.errors.ModelError` if a value or the total
+        is not finite, and its subclass :class:`~dispersim.errors.ZeroMass`
+        if the clipped density integrates to zero.
         """
         grid = np.asarray(grid, dtype=float)
         density = np.asarray(density, dtype=float)
         if density.shape != grid.shape:
             raise ValueError("density must match the grid shape")
+        if not np.all(np.isfinite(density)):
+            raise ModelError("density has non-finite values")
         density = np.clip(density, 0.0, None)
         total = trapezoid(density, grid)
         if total <= 0.0 and np.max(density) > 0.0:
@@ -101,6 +107,8 @@ class GriddedDistribution:
             # every other input keeps its exact output.
             density = density / np.max(density)
             total = trapezoid(density, grid)
+        if not np.isfinite(total):
+            raise ModelError(f"density total {total!r} is not finite")
         if total <= 0.0:
             raise ZeroMass("density has zero total mass")
         density = density / total

@@ -63,8 +63,8 @@ class MarketState:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "x_bins", x_bins)
         object.__setattr__(self, "z_bins", z_bins)
-        if grid.ndim != 1 or grid.size < 1 or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be 1-D and strictly increasing")
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+            raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points")
         if x_bins.shape != grid.shape or z_bins.shape != grid.shape:
             raise ValueError("stock arrays must match the grid shape")
         if np.any(x_bins < 0.0) or np.any(z_bins < 0.0):
@@ -305,9 +305,9 @@ def run(
         cap_hits += int(np.count_nonzero(
             np.greater(uncapped[:m], available[:m], out=capped[:m])))
         peak_stock = max(peak_stock, float(np.max(stocks[:m])))
-        # A one-node grid carries no inflow mass and is refused above, so
-        # this reduction runs over two or more columns and adds each bin's
-        # rows in step order; on one column numpy would add them pairwise.
+        # MarketState refuses grids of fewer than 2 nodes, so this reduction
+        # runs over two or more columns and adds each bin's rows in step
+        # order; on one column numpy would add them pairwise.
         booked[0] = sales
         np.add.reduce(booked[:m + 1], axis=0, out=sales)
 

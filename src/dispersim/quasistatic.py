@@ -36,6 +36,8 @@ def _as_cumulative(book, grid: np.ndarray | None) -> tuple[np.ndarray, np.ndarra
     grid = np.asarray(grid, dtype=float)
     if cum.shape != grid.shape:
         raise ValueError("cumulative must match the grid shape")
+    if not np.all(np.isfinite(cum)):
+        raise ValueError("cumulative must be finite")
     if np.any(np.diff(cum) < -1e-12) or np.any(cum < -1e-12) or np.any(cum > 1 + 1e-12):
         raise ValueError("cumulative must be nondecreasing within [0, 1]")
     return grid, cum

@@ -9,6 +9,7 @@ config parser.
 from __future__ import annotations
 
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,68 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate-meanprice", SDE_CFG + "sde.walras_gain = 0.5\n")
     assert code == 1
     assert "sde.walras_gain" in capsys.readouterr().err
+
+
+def _valid_configs(tmp_path):
+    draws = np.random.default_rng(5).laplace(1.0, 0.2, 200)
+    sample = _write(tmp_path, "sample.csv", write_sample(Sample(draws)))
+    table = _write(tmp_path, "transactions.csv",
+                   "good_id,market_id,quarter,price,quantity\n"
+                   "rice,n,2011Q1,1.0,1\nrice,s,2011Q1,2.0,3\n")
+    return {
+        "simulate-kinetic": KINETIC_CFG,
+        "simulate-meanprice": SDE_CFG,
+        "fixed-point": FIXED_POINT_CFG,
+        "mixture": MIXTURE_CFG,
+        "fit": f"fit.input = {sample}\nfit.family = laplace\n",
+        "normalize": f"normalize.input = {table}\n",
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "simulate-kinetic", "simulate-meanprice", "fixed-point", "mixture", "fit", "normalize",
+])
+def test_a_key_the_run_does_not_read_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    cfg = _valid_configs(tmp_path)[command]
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 0
+    before = _dir_bytes(out)
+    code, _ = _run(tmp_path, command, cfg + "grid.pionts = 11\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys: grid.pionts" in err
+    assert _dir_bytes(out) == before
+
+
+@pytest.mark.parametrize("command, key, word", [
+    ("simulate-kinetic", "kinetic.demand_rate", "nan"),
+    ("simulate-kinetic", "kinetic.eta", "nan"),
+    ("simulate-kinetic", "kinetic.horizon", "inf"),
+    ("simulate-meanprice", "sde.noise_amp", "nan"),
+    ("simulate-meanprice", "sde.horizon", "inf"),
+    ("mixture", "mixture.gamma", "1e400"),
+])
+def test_non_finite_config_numbers_exit_1(tmp_path, capsys, command, key, word):
+    cfg = _valid_configs(tmp_path)[command]
+    cfg = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {word}", cfg, flags=re.M)
+    assert f"{key} = {word}" in cfg
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert f"config key {key!r} must be a finite number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path, capsys):
+    cfg = FLOODED_KINETIC_CFG.replace("grid.points = 101", "grid.points = 11")
+    for key, word in [("kinetic.eta", "1e-300"), ("kinetic.dt", "1"),
+                      ("kinetic.horizon", "50"), ("kinetic.demand_rate", "1e308"),
+                      ("kinetic.supply_rate", "1e308"), ("kinetic.shape", "matched")]:
+        cfg = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {word}", cfg, flags=re.M)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out = _run(tmp_path, "simulate-kinetic", cfg)
+    assert code == 2
+    assert "density has non-finite values" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_keys_the_run_would_ignore_exit_1(tmp_path, capsys):
@@ -448,7 +511,8 @@ def test_fit_rejects_mismatched_shift_options(tmp_path, capsys):
     cfg = f"fit.input = {sample_path}\nfit.family = laplace\nfit.shift_lo = 0\nfit.shift_hi = 0\n"
     code, _ = _run(tmp_path, "fit", cfg)
     assert code == 1
-    assert "shift bounds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fit.shift_lo" in err and "fit.shift_hi" in err
 
     cfg = f"fit.input = {sample_path}\nfit.family = shifted-lognormal\nfit.shift_lo = 0\n"
     code, _ = _run(tmp_path, "fit", cfg, "out2")

@@ -11,7 +11,6 @@ from dispersim.config import (
     get_str,
     load_config,
     parse_config,
-    require_known,
 )
 from dispersim.errors import ConfigError
 
@@ -51,10 +50,19 @@ def test_load_config_reads_files(tmp_path):
     assert load_config(path) == {"x": "4"}
 
 
-def test_require_known_flags_typos():
-    with pytest.raises(ConfigError, match="unknown config keys: etaa"):
-        require_known({"eta": "1", "etaa": "2"}, {"eta"})
-    require_known({"eta": "1"}, {"eta", "dt"})
+def test_parsed_config_refuses_the_keys_no_reader_looked_up():
+    cfg = parse_config("eta = 1\netaa = 2\nfast = on\n")
+    assert get_float(cfg, "eta") == 1.0
+    assert get_int(cfg, "steps", 10) == 10
+    with pytest.raises(ConfigError, match="unknown config keys: etaa, fast"):
+        cfg.refuse_unread()
+    assert get_bool(cfg, "fast")
+    with pytest.raises(ConfigError, match="unknown config keys: etaa "):
+        cfg.refuse_unread()
+    with pytest.raises(ConfigError, match="'etaa' must be a boolean"):
+        get_bool(cfg, "etaa")
+    cfg.refuse_unread()
+    assert cfg.read == {"eta", "steps", "fast", "etaa"}
 
 
 def test_get_str_choices():
@@ -79,6 +87,12 @@ def test_get_float_and_int():
         get_int(cfg, "eta")
     with pytest.raises(ConfigError):
         get_int(cfg, "gone")
+
+
+@pytest.mark.parametrize("word", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_get_float_refuses_non_finite_numbers(word):
+    with pytest.raises(ConfigError, match="'eta' must be a finite number"):
+        get_float({"eta": word}, "eta")
 
 
 def test_get_bool_words():

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
-from dispersim.errors import ZeroMass
+from dispersim.errors import ModelError, ZeroMass
 from dispersim.grids import (
     GriddedDistribution,
     cumulative_trapezoid,
@@ -76,6 +76,20 @@ def test_from_density_rejects_shape_mismatch():
         GriddedDistribution.from_density(grid, np.ones(10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_density_refuses_non_finite_values(bad):
+    raw = np.ones(5)
+    raw[1] = bad
+    with pytest.raises(ModelError, match="non-finite"):
+        GriddedDistribution.from_density(uniform_grid(0.0, 1.0, 5), raw)
+
+
+def test_from_density_refuses_a_total_that_overflows():
+    with pytest.raises(ModelError, match="total inf is not finite"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        GriddedDistribution.from_density(uniform_grid(0.0, 1.0, 5), np.full(5, 1e308))
+
+
 def test_constructor_rejects_unsorted_grid():
     grid = np.array([0.0, 0.5, 0.4, 1.0])
     dens = np.ones(4)
@@ -98,6 +112,14 @@ def test_constructor_rejects_decreasing_cumulative():
     cum = np.array([0.0, 0.7, 0.6])
     with pytest.raises(ValueError):
         GriddedDistribution(grid, dens, cum)
+
+
+def test_constructor_rejects_non_finite_values():
+    grid = uniform_grid(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        GriddedDistribution(grid, np.array([1.0, np.nan, 1.0]), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        GriddedDistribution(grid, np.ones(3), np.array([0.0, np.nan, 1.0]))
 
 
 def test_uniform_distribution_quantiles_are_linear():

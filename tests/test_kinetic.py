@@ -113,6 +113,11 @@ def test_market_state_validation():
         MarketState(grid, np.ones(3), np.ones(3), 1.0, cumulative_sales=np.ones(2))
 
 
+def test_market_state_refuses_a_one_node_grid():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        MarketState(np.array([1.0]), np.ones(1), np.ones(1), 1.0)
+
+
 def test_market_state_totals_track_bins():
     grid = uniform_grid(0.0, 1.0, 4)
     state = MarketState(grid, np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4), 1.0)

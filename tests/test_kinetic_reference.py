@@ -153,7 +153,7 @@ def _assert_same_outcome(initial, inflow, dt, horizon, seed):
 
 @st.composite
 def _markets(draw):
-    bins = draw(st.one_of(st.integers(1, 12), st.integers(13, 3000)))
+    bins = draw(st.one_of(st.integers(2, 12), st.integers(13, 3000)))
     block = _block_steps(bins)
     n_steps = draw(st.sampled_from(
         [1, max(block - 1, 1), block, block + 1, 3 * block + 2]))
@@ -170,7 +170,7 @@ def _markets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # stocks up to just past the stability bound at t = 0
     scale = draw(st.sampled_from([0.5, 0.0, 1.1])) * STABILITY_BOUND / max(eta * dt, 1e-12)
-    grid = uniform_grid(0.0, 2.0, bins) if bins > 1 else np.array([1.0])
+    grid = uniform_grid(0.0, 2.0, bins)
     continuing = draw(st.booleans())
     initial = MarketState(
         grid,

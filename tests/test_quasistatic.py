@@ -71,6 +71,16 @@ def test_invalid_cumulative_is_rejected():
         quasi_static_density(decreasing, ok, grid=grid)
 
 
+def test_non_finite_raw_cumulative_is_rejected():
+    grid = uniform_grid(0.0, 1.0, 5)
+    ok = np.linspace(0.0, 1.0, 5)
+    with_nan = np.array([0.0, 0.25, np.nan, 0.75, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        quasi_static_density(with_nan, ok, grid=grid)
+    with pytest.raises(ValueError, match="finite"):
+        quasi_static_density(ok, with_nan, grid=grid)
+
+
 def test_disjoint_books_have_no_sales():
     grid = uniform_grid(0.0, 1.0, 101)
     # all offers above 0.9, all bids below 0.1: no price has both a willing
