@@ -7,14 +7,19 @@ pipeline groups rows at a chosen granularity, normalizes prices by the
 per-group mean, and pools the normalized samples. The spread statistics of
 the groups (one standard deviation each) feed the shifted lognormal fit.
 
-The path is columnar. The readers parse each file in one pass of numpy's C
-text reader and validate it with array masks; only when a check fails do
-they re-read the file record by record to name the first bad row. Grouping
-sorts the rows once by integer group codes and works on contiguous slices.
+The path is columnar. Transaction tables and samples go through one CSV
+reader: it checks the header against the accepted ones, parses the body in
+one pass of numpy's C text reader into a column per header field, and
+builds the result, whose constructor validates the columns. Only when the
+parse or the build fails does it re-read the file record by record, under
+one row check driven by the header's columns, to name the first bad row.
+Grouping sorts the rows once by integer group codes and works on
+contiguous slices.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -28,6 +33,7 @@ from .errors import EmptyInput, MalformedRow, ModelError
 from .samples import Sample
 
 HEADER = ("good_id", "market_id", "quarter", "price", "quantity")
+_ID_COLUMNS = HEADER[:3]
 SAMPLE_HEADERS = (("value",), ("value", "weight"))
 GROUPINGS = ("good", "good+market", "good+market+quarter")
 
@@ -122,16 +128,16 @@ class NormalizedSample:
 
 
 def _open_text(source):
-    """Pair (stream, needs_close) for a path or an open text stream.
+    """Context manager of a seekable text stream for a path or an open stream.
 
-    The readers seek back to report a bad row, so a stream that cannot
-    seek is read into memory first.
+    The reader seeks back to name a bad row, so a stream that cannot seek
+    is read into memory first; a seekable stream is used as is, left open.
     """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8", newline="")
     if not source.seekable():
-        return io.StringIO(source.read(), newline=""), True
-    return source, False
+        return io.StringIO(source.read(), newline="")
+    return contextlib.nullcontext(source)
 
 
 def _records(stream):
@@ -142,32 +148,6 @@ def _records(stream):
     """
     reader = csv.reader(iter(stream.readline, ""))
     return ((number, row) for number, row in enumerate(reader, start=1) if row)
-
-
-def _read_columns(stream, start, dtype: np.dtype, build, check):
-    """``build`` the rest of ``stream``, parsed in one pass of numpy's C reader.
-
-    numpy's reader and ``build``'s validation both raise ValueError. The
-    records are then re-read from ``start`` (the header's position) and
-    ``check(row_number, row)`` raises MalformedRow at the first bad one;
-    if none is bad, numpy's error stands.
-    """
-    try:
-        with warnings.catch_warnings():
-            # a body of blank lines is an empty table, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(
-                stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-        return build(data)
-    except ValueError as error:
-        failure = error
-    stream.seek(start)
-    records = _records(stream)
-    next(records)  # the header, already accepted
-    for row_number, row in records:
-        check(row_number, row)
-    raise failure
 
 
 def _parse_number(text: str) -> float | None:
@@ -186,24 +166,67 @@ def _parse_number(text: str) -> float | None:
         return None
 
 
-def _check_transaction(row_number: int, row: list[str]) -> None:
-    """Raise MalformedRow if a transaction record breaks a rule of the format."""
-    if len(row) != len(HEADER):
-        raise MalformedRow(row_number, f"expected {len(HEADER)} fields, got {len(row)}")
-    for name, value in zip(HEADER[:3], row):
-        if not value:
-            raise MalformedRow(row_number, f"{name} must be nonempty")
-    for name, text in zip(HEADER[3:], row[3:]):
+def _check_row(header: tuple[str, ...], row_number: int, row: list[str]) -> None:
+    """Raise MalformedRow if a record breaks a rule of the ``header`` format.
+
+    Ids must be nonempty, ``value`` a finite number and every other number
+    (price, quantity, weight) a positive finite one. Columns are checked in
+    order, so the reason names the first bad field.
+    """
+    if len(row) != len(header):
+        raise MalformedRow(row_number, f"expected {len(header)} fields, got {len(row)}")
+    for name, text in zip(header, row):
+        if name in _ID_COLUMNS:
+            if not text:
+                raise MalformedRow(row_number, f"{name} must be nonempty")
+            continue
         number = _parse_number(text)
         if number is None:
             raise MalformedRow(row_number, f"{name} {text!r} is not a number")
-        if not 0.0 < number < math.inf:
-            raise MalformedRow(row_number, f"{name} must be positive, got {text}")
+        if name == "value":
+            if not -math.inf < number < math.inf:
+                raise MalformedRow(row_number, f"value must be finite, got {text}")
+        elif not 0.0 < number < math.inf:
+            raise MalformedRow(row_number, f"{name} must be positive and finite, got {text}")
 
 
-_TRANSACTION_DTYPE = np.dtype(
-    [(name, object) for name in HEADER[:3]] + [(name, float) for name in HEADER[3:]]
-)
+def _read_csv(source, kind: str, headers, build):
+    """``build`` the records of ``source`` under one of the accepted ``headers``.
+
+    The first nonblank record must equal one of ``headers``; the body is
+    parsed in one pass of numpy's C text reader into a record array with a
+    field per column (ids as ``object``, numbers as ``float``). numpy's
+    reader and ``build``'s validation both raise ValueError. The records
+    are then re-read from the header and ``_check_row`` raises MalformedRow
+    at the first bad one; if none is bad, numpy's error stands.
+    """
+    with _open_text(source) as stream:
+        start = stream.tell()
+        row_number, header = next(_records(stream), (0, None))
+        if header is None:
+            raise EmptyInput(f"{kind} stream holds no rows")
+        header = tuple(header)
+        if header not in headers:
+            raise MalformedRow(
+                row_number, "header must be " + " or ".join(repr(",".join(h)) for h in headers)
+            )
+        dtype = np.dtype([(name, object if name in _ID_COLUMNS else float) for name in header])
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines is an empty table, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(
+                    stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+            return build(data)
+        except ValueError as error:
+            failure = error
+        stream.seek(start)
+        records = _records(stream)
+        next(records)  # the header, already accepted
+        for row_number, row in records:
+            _check_row(header, row_number, row)
+        raise failure
 
 
 def load_transactions(source) -> TransactionTable:
@@ -217,7 +240,8 @@ def load_transactions(source) -> TransactionTable:
     Unicode whitespace (U+001C..U+001F included) is allowed, digit-group
     underscores (``1_0``) and non-ASCII digits are not. Diagnostics report
     the CSV record number (header = row 1, blank lines counted), which is
-    the physical line number unless a quoted field spans lines.
+    the physical line number unless a quoted field spans lines. The reader
+    and its row rules are shared with ``load_sample``.
 
     Raises
     ------
@@ -231,22 +255,10 @@ def load_transactions(source) -> TransactionTable:
         ``io.StringIO``), on a line with an unquoted CR inside it. Paths
         are opened so that every CR ends a line.
     """
-    stream, needs_close = _open_text(source)
-    try:
-        start = stream.tell()
-        row_number, header = next(_records(stream), (0, None))
-        if header is None:
-            raise EmptyInput("transaction stream holds no rows")
-        if tuple(header) != HEADER:
-            raise MalformedRow(row_number, f"header must be {','.join(HEADER)}")
-        return _read_columns(
-            stream, start, _TRANSACTION_DTYPE,
-            lambda data: TransactionTable(*(np.ascontiguousarray(data[name]) for name in HEADER)),
-            _check_transaction,
-        )
-    finally:
-        if needs_close:
-            stream.close()
+    return _read_csv(
+        source, "transaction", (HEADER,),
+        lambda data: TransactionTable(*(np.ascontiguousarray(data[name]) for name in HEADER)),
+    )
 
 
 def serialize_transactions(table: TransactionTable) -> str:
@@ -401,64 +413,33 @@ def write_normalized_samples(samples) -> str:
     return "".join(parts)
 
 
-def _check_sample(n_fields: int):
-    """Record check for a sample with ``n_fields`` columns."""
-
-    def check(row_number: int, row: list[str]) -> None:
-        if len(row) != n_fields:
-            raise MalformedRow(row_number, f"expected {n_fields} fields, got {len(row)}")
-        numbers = [_parse_number(text) for text in row]
-        if None in numbers:
-            raise MalformedRow(row_number, f"row {row!r} is not numeric")
-        value, weight = numbers if n_fields == 2 else (numbers[0], 1.0)
-        # nan fails every comparison, so this also rejects nan
-        if not (-math.inf < value < math.inf and 0.0 < weight < math.inf):
-            raise MalformedRow(
-                row_number, f"value must be finite and weight positive, got {row!r}"
-            )
-    return check
+def _build_sample(data) -> Sample:
+    """The sample of a parsed ``value`` or ``value,weight`` body."""
+    if data.size == 0:
+        raise EmptyInput("sample stream holds a header but no data")
+    return Sample(
+        values=np.ascontiguousarray(data["value"]),
+        weights=np.ascontiguousarray(data["weight"]) if "weight" in data.dtype.names else None,
+    )
 
 
 def load_sample(source) -> Sample:
     """Parse a weighted or unweighted sample from a path or text stream.
 
-    The header must be ``value`` or ``value,weight``; each data row carries
-    the corresponding number of fields. The CSV rules, the number grammar,
-    the reported row numbers and numpy's ValueError on an unquoted CR
-    inside a line are those of ``load_transactions``.
+    The header must be ``value`` or ``value,weight``. The reader is that of
+    ``load_transactions``: the same CSV rules, number grammar, row numbers
+    and numpy ValueError on an unquoted CR inside a line.
 
     Raises
     ------
     EmptyInput
         If the stream holds no rows, or a header but no data.
     MalformedRow
-        On a wrong header, an unparsable row, a value that is not finite,
-        or a weight that is not a positive finite number.
+        On a wrong header, a wrong field count, a field that is not a
+        number, a value that is not finite, or a weight that is not a
+        positive finite number.
     """
-    stream, needs_close = _open_text(source)
-    try:
-        start = stream.tell()
-        row_number, header = next(_records(stream), (0, None))
-        if header is None:
-            raise EmptyInput("sample stream holds no rows")
-        if tuple(header) not in SAMPLE_HEADERS:
-            raise MalformedRow(row_number, "header must be 'value' or 'value,weight'")
-
-        def build(data):
-            if data.size == 0:
-                raise EmptyInput("sample stream holds a header but no data")
-            return Sample(
-                values=np.ascontiguousarray(data["value"]),
-                weights=np.ascontiguousarray(data["weight"]) if len(header) == 2 else None,
-            )
-
-        return _read_columns(
-            stream, start, np.dtype([(name, float) for name in header]),
-            build, _check_sample(len(header)),
-        )
-    finally:
-        if needs_close:
-            stream.close()
+    return _read_csv(source, "sample", SAMPLE_HEADERS, _build_sample)
 
 
 def write_sample(sample: Sample) -> str:

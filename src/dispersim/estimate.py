@@ -69,8 +69,9 @@ def fit_laplace(sample: Sample) -> FitResult:
     Raises
     ------
     DegenerateSample
-        If fewer than two observations are given or the deviations all
-        vanish, so no positive scale exists.
+        If fewer than two observations are given, the deviations all
+        vanish, so no positive scale exists, or the weighted median lies
+        below the price floor of zero that the fitted law carries.
     """
     if sample.size < 2:
         raise DegenerateSample("need at least two observations for a scale")
@@ -78,6 +79,8 @@ def fit_laplace(sample: Sample) -> FitResult:
     total = s.total_weight
     cum = np.cumsum(s.weights)
     mu = float(s.values[np.searchsorted(cum, 0.5 * total)])
+    if mu < 0.0:
+        raise DegenerateSample(f"weighted median {mu!r} lies below the price floor 0.0")
     sigma = float(np.sum(s.weights * np.abs(s.values - mu)) / total)
     if sigma <= 0.0:
         raise DegenerateSample("all observations coincide; scale is zero")

@@ -90,9 +90,11 @@ class GriddedDistribution:
     def from_density(cls, grid, density) -> "GriddedDistribution":
         """Normalize raw density values and attach the trapezoidal cumulative.
 
-        Raises :class:`~dispersim.errors.ModelError` if a value or the total
-        is not finite, and its subclass :class:`~dispersim.errors.ZeroMass`
-        if the clipped density integrates to zero.
+        A density whose plain total underflows to 0 or overflows is divided
+        by its largest value first. Raises :class:`~dispersim.errors.ModelError`
+        if a value or the total is not finite, and its subclass
+        :class:`~dispersim.errors.ZeroMass` if the clipped density
+        integrates to zero.
         """
         grid = np.asarray(grid, dtype=float)
         density = np.asarray(density, dtype=float)
@@ -101,12 +103,13 @@ class GriddedDistribution:
         if not np.all(np.isfinite(density)):
             raise ModelError("density has non-finite values")
         density = np.clip(density, 0.0, None)
-        total = trapezoid(density, grid)
-        if total <= 0.0 and np.max(density) > 0.0:
-            # Subnormal values underflow the trapezoid; rescale only then, so
-            # every other input keeps its exact output.
-            density = density / np.max(density)
+        with np.errstate(over="ignore"):  # a total that overflows is refused below
             total = trapezoid(density, grid)
+            if not 0.0 < total < np.inf and np.max(density) > 0.0:
+                # Rescale only a total that underflows or overflows, so every
+                # other input keeps its exact output.
+                density = density / np.max(density)
+                total = trapezoid(density, grid)
         if not np.isfinite(total):
             raise ModelError(f"density total {total!r} is not finite")
         if total <= 0.0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityViolation, ZeroMass, ZeroSalesVolume
+from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
 from .grids import GriddedDistribution, trapezoid
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
@@ -227,6 +227,8 @@ def run(
     StabilityViolation
         If the initial stocks already violate ``eta * stock * dt < 0.1``
         in some bin.
+    ModelError
+        If the books overflow: the final stocks or sales are not finite.
     ZeroSalesVolume
         If the whole run transacts nothing, leaving no sales law to
         normalize.
@@ -311,6 +313,8 @@ def run(
         booked[0] = sales
         np.add.reduce(booked[:m + 1], axis=0, out=sales)
 
+    if not (np.all(np.isfinite(stocks[m])) and np.all(np.isfinite(sales))):
+        raise ModelError("the books overflow: final stocks or cumulative sales are not finite")
     event_count = float(sales.sum()) - initial.event_count
     if event_count <= 0.0:
         raise ZeroSalesVolume("no units transacted over the whole run")

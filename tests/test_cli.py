@@ -272,7 +272,7 @@ def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="overflow"):
         code, out = _run(tmp_path, "simulate-kinetic", cfg)
     assert code == 2
-    assert "density has non-finite values" in capsys.readouterr().err
+    assert "the books overflow" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -534,6 +534,14 @@ def test_failed_fit_reruns_leave_the_output_directory_untouched(tmp_path, capsys
     code, _ = _run(tmp_path, "fit", lognormal + "fit.grid_min = 2\nfit.grid_max = 1\n")
     assert code == 1
     assert _dir_bytes(out) == before
+
+
+def test_fit_laplace_below_the_floor_exits_2_without_artifacts(tmp_path, capsys):
+    sample_path = _write(tmp_path, "s.csv", "value\n-1\n-0.5\n-0.2\n0.1\n")
+    code, out = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = laplace\n")
+    assert code == 2
+    assert "weighted median -0.5 lies below the price floor 0.0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_fit_missing_input_file_exits_1(tmp_path, capsys):

@@ -385,6 +385,65 @@ def test_load_sample_error_cases():
         load_sample(io.StringIO("value\n"))
 
 
+_TRANSACTION_HEADER_REASON = "header must be 'good_id,market_id,quarter,price,quantity'"
+
+
+@pytest.mark.parametrize("load, text, row, reason", [
+    # a bad header
+    (load_transactions, "price,quantity\n1.0,2\n", 1, _TRANSACTION_HEADER_REASON),
+    (load_transactions, "\ngood_id,market_id,quarter,price\n", 2, _TRANSACTION_HEADER_REASON),
+    (load_sample, "price\n1.0\n", 1, "header must be 'value' or 'value,weight'"),
+    (load_sample, "weight,value\n1.0,1.0\n", 1, "header must be 'value' or 'value,weight'"),
+    # a wrong field count
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5\n", 2, "expected 5 fields, got 4"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,2,3\n", 2, "expected 5 fields, got 6"),
+    (load_sample, "value\n1.0\n1.0,2.0\n", 3, "expected 1 fields, got 2"),
+    (load_sample, "value,weight\n1.0\n", 2, "expected 2 fields, got 1"),
+    # an empty id
+    (load_transactions, f"{HEADER_LINE}\n,n,q,1.5,2\n", 2, "good_id must be nonempty"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,\"\",q,1.5,2\n", 2, "market_id must be nonempty"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,,1.5,2\n", 2, "quarter must be nonempty"),
+    # a field that is not a number under numpy's grammar
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,cheap,2\n", 2, "price 'cheap' is not a number"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1_0,2\n", 2, "price '1_0' is not a number"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,\u0661\n", 2,
+     "quantity '\u0661' is not a number"),
+    (load_sample, "value\n1.0\nnope\n", 3, "value 'nope' is not a number"),
+    (load_sample, "value\n1_0\n", 2, "value '1_0' is not a number"),
+    (load_sample, "value,weight\n1.0,2\n2.0,\u0663\n", 3, "weight '\u0663' is not a number"),
+    (load_sample, "value,weight\n1.0,\n", 2, "weight '' is not a number"),
+    # a nonpositive price, quantity or weight
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,0,2\n", 2, "price must be positive and finite, got 0"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,-2\n", 2,
+     "quantity must be positive and finite, got -2"),
+    (load_sample, "value,weight\n1.0,1.0\n\n2.0,0\n", 4, "weight must be positive and finite, got 0"),
+    (load_sample, "value,weight\n1.0,-2.0\n", 2, "weight must be positive and finite, got -2.0"),
+    # a number that is not finite
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,inf,2\n", 2, "price must be positive and finite, got inf"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,nan\n", 2,
+     "quantity must be positive and finite, got nan"),
+    (load_sample, "value\n1.0\nnan\n", 3, "value must be finite, got nan"),
+    (load_sample, "value,weight\n-inf,1\n", 2, "value must be finite, got -inf"),
+    (load_sample, "value,weight\n1.0,inf\n", 2, "weight must be positive and finite, got inf"),
+])
+def test_every_reader_refusal_names_its_row_and_reason(load, text, row, reason):
+    with pytest.raises(MalformedRow) as exc:
+        load(io.StringIO(text, newline=""))
+    assert (exc.value.row, exc.value.reason) == (row, reason)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_transactions, "", "transaction stream holds no rows"),
+    (load_transactions, "\n\r\n", "transaction stream holds no rows"),
+    (load_sample, "", "sample stream holds no rows"),
+    (load_sample, "value,weight\n", "sample stream holds a header but no data"),
+    (load_sample, "value\n\n\n", "sample stream holds a header but no data"),
+])
+def test_readers_refuse_empty_input(load, text, message):
+    with pytest.raises(EmptyInput, match=message):
+        load(io.StringIO(text, newline=""))
+
+
 def test_pipeline_recovers_the_spread_law_of_synthetic_groups():
     """End-to-end check on data built from a known group-spread law.
 

@@ -78,6 +78,13 @@ def test_fit_laplace_degenerate_inputs():
         fit_laplace(Sample(np.array([1.0])))
 
 
+def test_fit_laplace_refuses_a_median_below_the_floor():
+    with pytest.raises(DegenerateSample, match=r"median -0\.5 lies below the price floor 0\.0"):
+        fit_laplace(Sample(np.array([-1.0, -0.5, -0.2, 0.1])))
+    # a median on the floor itself is in the domain
+    assert fit_laplace(Sample(np.array([-1.0, 0.0, 1.0]))).params.mu == 0.0
+
+
 @given(
     st.floats(min_value=0.01, max_value=100.0),
     # the fitter reports a price floor of zero, so shifted samples must keep

@@ -84,10 +84,14 @@ def test_from_density_refuses_non_finite_values(bad):
         GriddedDistribution.from_density(uniform_grid(0.0, 1.0, 5), raw)
 
 
-def test_from_density_refuses_a_total_that_overflows():
-    with pytest.raises(ModelError, match="total inf is not finite"), \
-            pytest.warns(RuntimeWarning, match="overflow"):
-        GriddedDistribution.from_density(uniform_grid(0.0, 1.0, 5), np.full(5, 1e308))
+def test_from_density_rescales_a_total_that_overflows():
+    grid = uniform_grid(0.0, 1.0, 5)
+    dist = GriddedDistribution.from_density(grid, np.full(5, 1e308))
+    np.testing.assert_array_equal(dist.density, np.ones(5))
+    np.testing.assert_array_equal(dist.cumulative, grid)
+    # a grid so wide that even the rescaled total overflows is still refused
+    with pytest.raises(ModelError, match="total inf is not finite"):
+        GriddedDistribution.from_density(np.array([-1.5e308, 0.0, 1.5e308]), np.ones(3))
 
 
 def test_constructor_rejects_unsorted_grid():
