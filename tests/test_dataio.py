@@ -413,13 +413,16 @@ _TRANSACTION_HEADER_REASON = "header must be 'good_id,market_id,quarter,price,qu
     (load_sample, "value,weight\n1.0,2\n2.0,\u0663\n", 3, "weight '\u0663' is not a number"),
     (load_sample, "value,weight\n1.0,\n", 2, "weight '' is not a number"),
     # a nonpositive price, quantity or weight
-    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,0,2\n", 2, "price must be positive and finite, got 0"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,0,2\n", 2,
+     "price must be positive and finite, got 0"),
     (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,-2\n", 2,
      "quantity must be positive and finite, got -2"),
-    (load_sample, "value,weight\n1.0,1.0\n\n2.0,0\n", 4, "weight must be positive and finite, got 0"),
+    (load_sample, "value,weight\n1.0,1.0\n\n2.0,0\n", 4,
+     "weight must be positive and finite, got 0"),
     (load_sample, "value,weight\n1.0,-2.0\n", 2, "weight must be positive and finite, got -2.0"),
     # a number that is not finite
-    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,inf,2\n", 2, "price must be positive and finite, got inf"),
+    (load_transactions, f"{HEADER_LINE}\nmilk,n,q,inf,2\n", 2,
+     "price must be positive and finite, got inf"),
     (load_transactions, f"{HEADER_LINE}\nmilk,n,q,1.5,nan\n", 2,
      "quantity must be positive and finite, got nan"),
     (load_sample, "value\n1.0\nnan\n", 3, "value must be finite, got nan"),
