@@ -444,9 +444,5 @@ def load_sample(source) -> Sample:
 
 def write_sample(sample: Sample) -> str:
     """Render a sample as ``value,weight`` rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("value", "weight"))
-    for value, weight in zip(sample.values, sample.weights):
-        writer.writerow([repr(float(value)), repr(float(weight))])
-    return buffer.getvalue()
+    rows = zip(sample.values.tolist(), sample.weights.tolist())
+    return "value,weight\n" + "".join(f"{value!r},{weight!r}\n" for value, weight in rows)

@@ -4,7 +4,8 @@ All estimators accept weighted samples; weights enter every sum exactly as
 multiplicities would, so integer weights reproduce the unweighted estimate
 on the expanded sample. Each fit returns a :class:`FitResult` carrying the
 family name, the estimates, the attained log-likelihood, and the weighted
-Kolmogorov-Smirnov distance against the fitted law itself.
+Kolmogorov-Smirnov distance against the fitted law itself. Everything here
+is numpy: the shifted lognormal shift is found by nested grid scans.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from .samples import Sample
 
 FAMILY_LAPLACE = "laplace"
 FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
+
+#: The shift search scans this many shifts at a time (odd, so each scan's
+#: best shift is a node of the next) until a scanned bracket is narrower
+#: than ``_SCAN_REL_TOL`` of the bounds width.
+_SCAN_NODES = 65
+_SCAN_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,30 +114,34 @@ def _log_moments(shift: float, values, weights, total) -> tuple[float, float]:
 def fit_shifted_lognormal(
     sample: Sample,
     shift_bounds: tuple[float, float] | None = None,
-    grid_points: int = 64,
-    rel_tol: float = 1e-6,
 ) -> FitResult:
     """Maximum-likelihood shifted lognormal fit with a profiled shift.
 
     For a fixed shift the location and log-scale estimates are the weighted
     mean and standard deviation of the shifted logs, in closed form; the
-    concentrated likelihood is then maximized over the shift with a coarse
-    grid of ``grid_points`` candidates refined by a bounded scalar search
-    narrowed to ``rel_tol`` of the bounds width. Passing equal bounds pins
-    the shift and skips the search.
+    concentrated likelihood is then maximized over the shift by nested
+    scans of 65 evenly spaced shifts: first over the bounds, then over the
+    two cells around the last scan's best shift, until the scanned bracket
+    is narrower than 1e-6 of the bounds width. The best shift is a node of
+    the next scan, so the profile never falls from scan to scan.
+    Passing equal bounds pins the shift and skips the search.
 
     The likelihood is unbounded as the shift approaches the smallest
-    observation, so the search is always bracketed strictly below it;
-    ``shift_bounds`` defaults to ``(0, 0.99 * min(values))`` and any upper
-    bound is clamped below the smallest value.
+    observation (Hill 1963), so the search is always bracketed strictly
+    below it; ``shift_bounds`` defaults to ``(0, 0.99 * min(values))`` and
+    any upper bound is clamped below the smallest value. Only a maximum
+    below that clamp is an estimate (Cohen & Whitten 1980): a search that
+    ends on it is refused.
 
     Raises
     ------
     EmptyFeasibleShift
         If no candidate shift leaves every observation above it.
     DegenerateSample
-        If fewer than three observations are given or the shifted logs
-        carry no spread at the optimum.
+        If fewer than three observations are given, the shifted logs carry
+        no spread at the optimum, or the best shift is the upper bound set
+        by the smallest value: the profile has no local maximum in the
+        bounds.
     """
     if sample.size < 3:
         raise DegenerateSample("need at least three observations for three parameters")
@@ -144,8 +155,10 @@ def fit_shifted_lognormal(
                 "smallest observation is not positive; pass explicit shift bounds"
             )
         lo, hi = 0.0, 0.99 * min_x
+        clamped = True
     else:
         lo, hi = float(shift_bounds[0]), float(shift_bounds[1])
+        clamped = hi >= min_x - tiny
         hi = min(hi, min_x - tiny)
     if lo > hi:
         raise EmptyFeasibleShift(
@@ -159,23 +172,20 @@ def fit_shifted_lognormal(
         # Up to constants: -(profile log-likelihood) / total weight.
         return 0.5 * np.log(var) + mean
 
-    if lo == hi:
-        shift = lo
-    else:
-        # Imported here, not at the top: loading scipy would make importing
-        # the package, and so every command, several times slower.
-        from scipy.optimize import minimize_scalar
-
-        grid = np.linspace(lo, hi, grid_points)
-        objective = np.array([negative_profile(g) for g in grid])
-        best = int(np.argmin(objective))
-        result = minimize_scalar(
-            negative_profile,
-            bounds=(grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]),
-            method="bounded",
-            options={"xatol": rel_tol * (hi - lo)},
-        )
-        shift = float(result.x) if result.fun <= objective[best] else float(grid[best])
+    shift = lo
+    if lo < hi:
+        nodes, cell = np.linspace(lo, hi, _SCAN_NODES), (hi - lo) / (_SCAN_NODES - 1)
+        while True:
+            shift = float(nodes[np.argmin([negative_profile(g) for g in nodes])])
+            if (_SCAN_NODES - 1) * cell < _SCAN_REL_TOL * (hi - lo):
+                break
+            nodes = np.unique(np.clip(shift + np.linspace(-cell, cell, _SCAN_NODES), lo, hi))
+            cell /= (_SCAN_NODES - 1) // 2
+        if clamped and shift == hi:
+            raise DegenerateSample(
+                f"the shift profile has no local maximum in [{lo!r}, {hi!r}]: it rises "
+                f"up to the bound {hi!r} that the smallest value {min_x!r} sets"
+            )
     mean, var = _log_moments(shift, values, weights, total)
     if var <= 0.0:
         raise DegenerateSample("shifted logs carry no spread")

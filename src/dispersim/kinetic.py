@@ -26,6 +26,7 @@ and the stocks admit an exactly stationary state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +229,8 @@ def run(
         If the initial stocks already violate ``eta * stock * dt < 0.1``
         in some bin.
     ModelError
-        If the books overflow: the final stocks or sales are not finite.
+        If the books overflow: the stocks, their totals or the sales are not
+        finite at the end of a block. The run stops at the first such block.
     ZeroSalesVolume
         If the whole run transacts nothing, leaving no sales law to
         normalize.
@@ -282,39 +284,46 @@ def run(
     steps = list(zip(stocks[:-1], stocks[1:], stocks[:-1, 0], stocks[:-1, 1],
                      uncapped, available, booked[1:], deposits))
 
-    for start in range(0, n_steps, block):
-        m = min(block, n_steps - start)
-        if start:
-            stocks[0] = stocks[block]
-        if jitter > 0.0:
-            rng.standard_normal(out=factors[:m])
-            np.multiply(factors[:m], jitter, out=factors[:m])
-            np.subtract(factors[:m], half_var, out=factors[:m])
-            np.exp(factors[:m], out=factors[:m])
-            np.multiply(factors[:m, :, None], inflows, out=added[:m])
-        for before, after, x, z, u, a, t, deposit in steps[:m]:
-            np.multiply(x, eta_dt, out=u)
-            np.multiply(u, z, out=u)
-            np.minimum(x, z, out=a)
-            np.minimum(u, a, out=t)
-            np.subtract(before, t, out=after)
-            np.add(after, deposit, out=after)
+    # Books that overflow are refused at the end of the first block that
+    # reaches them, so numpy's warnings on the way there are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            m = min(block, n_steps - start)
+            if start:
+                stocks[0] = stocks[block]
+            if jitter > 0.0:
+                rng.standard_normal(out=factors[:m])
+                np.multiply(factors[:m], jitter, out=factors[:m])
+                np.subtract(factors[:m], half_var, out=factors[:m])
+                np.exp(factors[:m], out=factors[:m])
+                np.multiply(factors[:m, :, None], inflows, out=added[:m])
+            for before, after, x, z, u, a, t, deposit in steps[:m]:
+                np.multiply(x, eta_dt, out=u)
+                np.multiply(u, z, out=u)
+                np.minimum(x, z, out=a)
+                np.minimum(u, a, out=t)
+                np.subtract(before, t, out=after)
+                np.add(after, deposit, out=after)
 
-        span = slice(start, start + m)
-        np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)
-        np.add.reduce(booked[1:m + 1], axis=1, out=sales_rate[span])
-        np.divide(sales_rate[span], dt, out=sales_rate[span])
-        cap_hits += int(np.count_nonzero(
-            np.greater(uncapped[:m], available[:m], out=capped[:m])))
-        peak_stock = max(peak_stock, float(np.max(stocks[:m])))
-        # MarketState refuses grids of fewer than 2 nodes, so this reduction
-        # runs over two or more columns and adds each bin's rows in step
-        # order; on one column numpy would add them pairwise.
-        booked[0] = sales
-        np.add.reduce(booked[:m + 1], axis=0, out=sales)
-
-    if not (np.all(np.isfinite(stocks[m])) and np.all(np.isfinite(sales))):
-        raise ModelError("the books overflow: final stocks or cumulative sales are not finite")
+            span = slice(start, start + m)
+            np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)
+            np.add.reduce(booked[1:m + 1], axis=1, out=sales_rate[span])
+            np.divide(sales_rate[span], dt, out=sales_rate[span])
+            cap_hits += int(np.count_nonzero(
+                np.greater(uncapped[:m], available[:m], out=capped[:m])))
+            peak_stock = max(peak_stock, float(np.max(stocks[:m])))
+            # MarketState refuses grids of fewer than 2 nodes, so this reduction
+            # runs over two or more columns and adds each bin's rows in step
+            # order; on one column numpy would add them pairwise.
+            booked[0] = sales
+            np.add.reduce(booked[:m + 1], axis=0, out=sales)
+            # Stocks are nonnegative, so their totals are finite only if they
+            # are. ndarray.max keeps a NaN, which Python's max would skip.
+            reduced = (totals[:, span].max(), sales_rate[span].max(), sales.max())
+            if not all(map(math.isfinite, reduced)):
+                raise ModelError(
+                    f"the books overflow: stocks, totals or sales are not finite "
+                    f"by step {start + m}")
     event_count = float(sales.sum()) - initial.event_count
     if event_count <= 0.0:
         raise ZeroSalesVolume("no units transacted over the whole run")

@@ -8,18 +8,20 @@ lognormal law. The unconditional price law is the lognormal mixture of the
 conditional Laplace laws, computed here in log space by Gauss-Legendre
 quadrature on two panels split at the integrand's kink. The Gauss-Legendre
 rule is built here in numpy (Newton's method on the three-term recurrence),
-so importing this module loads no scipy; only :func:`lognormal_cdf` imports
-scipy, when it runs, for its normal cumulative.
+and the normal cumulative of :func:`lognormal_cdf` comes from ``math.erfc``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # ---------------------------------------------------------------------------
 # Two-sided exponential (Laplace)
@@ -167,16 +169,13 @@ def lognormal_density(values, params: LognormalParams) -> np.ndarray:
 
 
 def lognormal_cdf(values, params: LognormalParams) -> np.ndarray:
-    """Cumulative of the shifted lognormal law."""
-    # Imported here, not at the top: loading scipy would make importing
-    # the package, and so every command, several times slower.
-    from scipy.special import ndtr
-
+    """Cumulative of the shifted lognormal law, ``0.5 * erfc(-z / sqrt(2))``."""
     w = np.atleast_1d(np.asarray(values, dtype=float))
     x = w - params.shift
     out = np.zeros_like(x, dtype=float)
     pos = x > 0.0
-    out[pos] = ndtr(np.log(x[pos] / params.gamma) / params.omega)
+    z = np.log(x[pos] / params.gamma) / params.omega
+    out[pos] = 0.5 * _erfc(-z / np.sqrt(2.0)).astype(float)
     if np.isscalar(values) or np.asarray(values).ndim == 0:
         return out[0]
     return out

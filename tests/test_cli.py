@@ -9,7 +9,11 @@ config parser.
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from dispersim.kinetic import InflowSpec, initial_state, run, stationary_state
 from dispersim.laws import LognormalParams, laplace_density, mixture_density
 from dispersim.meanprice import SdeParams, simulate_mean_price
 from dispersim.samples import Sample
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIXED_POINT_CFG = """\
 seed = 5
@@ -263,16 +269,23 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, command, key, word):
     assert list(out.iterdir()) == []
 
 
-def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path, capsys):
+def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path):
     cfg = FLOODED_KINETIC_CFG.replace("grid.points = 101", "grid.points = 11")
     for key, word in [("kinetic.eta", "1e-300"), ("kinetic.dt", "1"),
                       ("kinetic.horizon", "50"), ("kinetic.demand_rate", "1e308"),
                       ("kinetic.supply_rate", "1e308"), ("kinetic.shape", "matched")]:
         cfg = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {word}", cfg, flags=re.M)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out = _run(tmp_path, "simulate-kinetic", cfg)
-    assert code == 2
-    assert "the books overflow" in capsys.readouterr().err
+    # A child interpreter with the default warning filters: numpy's overflow
+    # warnings would be printed to its stderr ahead of the error line.
+    config, out = _write(tmp_path, "kinetic.cfg", cfg), tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "dispersim", "simulate-kinetic",
+         str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("dispersim: error: the books overflow")
+    assert done.stderr.count("\n") == 1
     assert list(out.iterdir()) == []
 
 
@@ -541,6 +554,18 @@ def test_fit_laplace_below_the_floor_exits_2_without_artifacts(tmp_path, capsys)
     code, out = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = laplace\n")
     assert code == 2
     assert "weighted median -0.5 lies below the price floor 0.0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_fit_lognormal_on_the_clamp_exits_2_without_artifacts(tmp_path, capsys):
+    # 1 + Exp(1)^2 piles up at its minimum: the profile likelihood of the
+    # shift keeps rising up to the clamp 0.99 * min(x).
+    draws = 1.0 + np.random.default_rng(0).exponential(1.0, 300) ** 2
+    sample_path = _write(tmp_path, "s.csv", write_sample(Sample(draws)))
+    cfg = f"fit.input = {sample_path}\nfit.family = shifted-lognormal\n"
+    code, out = _run(tmp_path, "fit", cfg)
+    assert code == 2
+    assert "no local maximum in [0.0, " in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -29,6 +29,7 @@ from dispersim.dataio import (
     load_transactions,
     normalize_prices,
     write_normalized_samples,
+    write_sample,
 )
 from dispersim.errors import EmptyInput, InputError, MalformedRow, ModelError
 from dispersim.samples import Sample
@@ -169,6 +170,15 @@ def reference_write_normalized_samples(samples) -> str:
         label = "|".join(group.key)
         for value, weight in zip(group.values, group.weights):
             writer.writerow([label, repr(float(value)), repr(float(weight))])
+    return buffer.getvalue()
+
+
+def reference_write_sample(sample: Sample) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("value", "weight"))
+    for value, weight in zip(sample.values, sample.weights):
+        writer.writerow([repr(float(value)), repr(float(weight))])
     return buffer.getvalue()
 
 
@@ -432,3 +442,16 @@ def test_write_normalized_samples_matches_the_csv_writer_byte_for_byte(groups):
         for key, rows in groups
     ]
     assert write_normalized_samples(samples) == reference_write_normalized_samples(samples)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rows=st.lists(st.tuples(_finite, _positive), max_size=30), weighted=st.booleans())
+@example(rows=[(0.30000000000000004, 1.0), (5e-324, 3.0), (-2.5e-310, 0.125),
+               (-0.0, 2.5e-320), (1.7976931348623157e308, 7.0)], weighted=True)
+def test_write_sample_bytes_match_the_per_row_writer(rows, weighted):
+    values = np.array([v for v, _ in rows], dtype=float)
+    weights = np.array([w for _, w in rows], dtype=float) if weighted else None
+    sample = Sample(values, weights)
+    assert write_sample(sample) == reference_write_sample(sample)

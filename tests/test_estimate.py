@@ -146,6 +146,25 @@ def test_constant_values_have_no_log_spread():
         )
 
 
+@pytest.mark.parametrize("n", [30, 300])
+def test_a_search_that_ends_on_the_clamp_is_refused(n):
+    # 1 + Exp(1)^2 piles up at its minimum, so the profile likelihood keeps
+    # rising up to the clamp 0.99 * min(x): no local maximum lies in the bounds.
+    draws = 1.0 + np.random.default_rng(0).exponential(1.0, n) ** 2
+    with pytest.raises(DegenerateSample, match=r"no local maximum in \[0\.0, "):
+        fit_shifted_lognormal(Sample(draws))
+
+
+def test_only_an_upper_bound_set_by_the_smallest_value_is_a_clamp():
+    draws = 1.0 + np.random.default_rng(0).exponential(1.0, 30) ** 2
+    # A bound above min(x) is clamped to just below it, and refused there,
+    with pytest.raises(DegenerateSample, match="no local maximum"):
+        fit_shifted_lognormal(Sample(draws), shift_bounds=(0.0, 5.0))
+    # but a bound the caller set below min(x) is an answer.
+    hi = 0.5 * draws.min()
+    assert fit_shifted_lognormal(Sample(draws), shift_bounds=(0.0, hi)).params.shift == hi
+
+
 def test_shifted_lognormal_recovery_within_five_percent():
     rng = np.random.default_rng(3)
     draws = _shifted_lognormal_draws(rng, 0.41, 0.245, 0.0245, 100_000)
@@ -162,7 +181,7 @@ def test_estimated_shift_is_small_when_the_law_has_none():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         draws = _shifted_lognormal_draws(rng, 1.0, 0.6, 0.0, 200_000)
-        fit = fit_shifted_lognormal(Sample(draws), grid_points=32)
+        fit = fit_shifted_lognormal(Sample(draws))
         if fit.params.shift < 0.005 * np.median(draws):
             hits += 1
     assert hits >= 18
@@ -185,8 +204,8 @@ def test_errors_shrink_with_sample_size_for_both_fitters():
         rng = np.random.default_rng(seed)
         small_draws = _shifted_lognormal_draws(rng, 1.0, 0.3, 0.0, 10_000)
         large_draws = _shifted_lognormal_draws(rng, 1.0, 0.3, 0.0, 1_000_000)
-        small = fit_shifted_lognormal(Sample(small_draws), grid_points=16)
-        large = fit_shifted_lognormal(Sample(large_draws), grid_points=16)
+        small = fit_shifted_lognormal(Sample(small_draws))
+        large = fit_shifted_lognormal(Sample(large_draws))
         small_err[seed] = abs(small.params.omega - 0.3)
         large_err[seed] = abs(large.params.omega - 0.3)
     assert large_err.mean() < 0.5 * small_err.mean()

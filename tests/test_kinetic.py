@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dispersim.errors import StabilityViolation, ZeroMass, ZeroSalesVolume
+from dispersim.errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
 from dispersim.estimate import fit_laplace
 from dispersim.grids import uniform_grid
 from dispersim.kinetic import (
@@ -343,3 +343,14 @@ def test_inflow_shape_that_vanishes_on_the_grid_is_a_model_error(shape):
     inflow = InflowSpec(1.0, 1.0, mu_ref=0.0, sigma_ref=1e-3, shape=shape)
     with pytest.raises(ZeroMass, match="inflow shape vanishes"):
         inflow.shape_densities(uniform_grid(1.0, 2.0, 11))
+
+
+def test_totals_that_overflow_are_refused_without_warnings():
+    # Every stock and every sale is finite, but the book totals of the
+    # series are not: 11 bins of 1e308 units each.
+    grid = uniform_grid(0.0, 2.0, 11)
+    state = MarketState(grid=grid, x_bins=np.full(11, 1e308), z_bins=np.full(11, 1e308),
+                        eta=1e-320)
+    inflow = InflowSpec(1.0, 1.0, mu_ref=1.0, sigma_ref=0.2)
+    with pytest.raises(ModelError, match="the books overflow"):
+        run(state, inflow, dt=0.1, horizon=1.0)

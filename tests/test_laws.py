@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
-from scipy.special import roots_legendre
+from scipy.special import ndtr, roots_legendre
 
 from dispersim import laws
 from dispersim.errors import QuadratureError
@@ -163,6 +163,25 @@ def test_lognormal_cdf_median_and_monotonicity():
     cum = lognormal_cdf(x, params)
     assert np.all(np.diff(cum) >= 0.0)
     assert cum[0] == 0.0
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_lognormal_cdf_matches_scipy_ndtr(shift):
+    params = LognormalParams(gamma=0.7, omega=0.4, shift=shift)
+    z = np.linspace(-38.0, 9.0, 20001)
+    w = shift + params.gamma * np.exp(params.omega * z)
+    ref = ndtr(np.log((w - shift) / params.gamma) / params.omega)
+    got = lognormal_cdf(w, params)
+    assert np.max(np.abs(got - ref)) <= 2.3e-16
+    normal = ref >= 2.3e-308
+    assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-12
+    # At and below the shift the cumulative is exactly zero.
+    below = np.array([shift, shift - 1e-9, shift - 1.0, -np.inf])
+    assert np.all(lognormal_cdf(below, params) == 0.0)
+    # A scalar gives a scalar, the same as the array entry.
+    one = lognormal_cdf(float(w[15000]), params)
+    assert np.ndim(one) == 0 and one == got[15000]
+    assert lognormal_cdf(shift, params) == 0.0
 
 
 def test_lognormal_moments_against_quadrature():
