@@ -269,18 +269,20 @@ def _fit(cfg, seed: int) -> dict[str, str]:
     grid_points = get_int(cfg, "fit.grid_points", 201)
     cfg.refuse_unread()
     sample = load_sample(path)
+    # fit first: a sample too degenerate to fit, such as one whose values all
+    # coincide, is the model's refusal, not an empty default grid
+    if family == FAMILY_LAPLACE:
+        result = fit_laplace(sample)
+    else:
+        result = fit_shifted_lognormal(sample, shift_bounds=bounds)
     grid = uniform_grid(
         float(sample.values.min()) if grid_min is None else grid_min,
         float(sample.values.max()) if grid_max is None else grid_max,
         grid_points,
     )
     empirical, _ = histogram(sample, grid)
-    if family == FAMILY_LAPLACE:
-        result = fit_laplace(sample)
-        fitted = laplace_density(grid, result.params)
-    else:
-        result = fit_shifted_lognormal(sample, shift_bounds=bounds)
-        fitted = lognormal_density(grid, result.params)
+    density = laplace_density if family == FAMILY_LAPLACE else lognormal_density
+    fitted = density(grid, result.params)
     return {
         "fit.txt": _keyvalue(result.to_record().items()),
         "series.csv": _table(

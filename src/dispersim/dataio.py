@@ -13,8 +13,13 @@ one pass of numpy's C text reader into a column per header field, and
 builds the result, whose constructor validates the columns. Only when the
 parse or the build fails does it re-read the file record by record, under
 one row check driven by the header's columns, to name the first bad row.
-Grouping sorts the rows once by integer group codes and works on
-contiguous slices.
+Grouping sorts the rows once by integer group codes, so each group is a
+contiguous slice. Per-group sums are taken by size bucket: the groups of
+one size are gathered into one ``(groups, size)`` array and summed along
+its rows. numpy sums a contiguous row by the same pairwise summation as a
+contiguous slice of that length, so every sum, and every mean and spread
+built from them, keeps the bits of the per-group loop, with a few numpy
+calls per distinct group size instead of per group.
 """
 
 from __future__ import annotations
@@ -327,35 +332,70 @@ def normalize_prices(
     codes = [code[order] for code in codes]
     starts = np.flatnonzero(np.any([c[1:] != c[:-1] for c in codes], axis=0)) + 1
     bounds = [0, *starts.tolist(), table.size]
-    keys = zip(*(
+    keys = list(zip(*(
         [column_names[i] for i in code[bounds[:-1]].tolist()]
         for column_names, code in zip(names, codes)
-    ))
+    )))
     prices = table.price[order]
     quantities = table.quantity[order]
+    sizes = np.diff(bounds)
     # division is monotone, so a group's smallest normalized price is low / mu0
-    lows = np.minimum.reduceat(prices, bounds[:-1]).tolist()
-    out = []
+    lows = np.minimum.reduceat(prices, bounds[:-1])
     with np.errstate(over="ignore"):
-        # each group's sums see its rows in table order, as a per-group copy would
-        spent = prices * quantities
-        for key, lo, hi, low in zip(keys, bounds[:-1], bounds[1:], lows):
-            p, q = prices[lo:hi], quantities[lo:hi]
-            mu0 = float(spent[lo:hi].sum() / q.sum() if weighted else p.mean())
-            if not 0.0 < mu0 < math.inf:
-                mu0 = _rescaled_mean_price(p, q, weighted)
-            if low / mu0 == 0.0:
-                raise ModelError(
-                    f"group {key}: normalized price {low!r} / {mu0!r} underflows to 0"
-                )
-            group = NormalizedSample(key=key, mu0=mu0, values=p / mu0, weights=q)
-            if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
-                raise ModelError(
-                    f"group {key}: weighted mean of normalized prices is "
-                    f"{group.weighted_mean()!r}, not 1"
-                )
-            out.append(group)
-    return out
+        if weighted:
+            totals = _group_sums(quantities, bounds)
+            mu0 = _group_sums(prices * quantities, bounds) / totals
+        else:
+            mu0 = _group_sums(prices, bounds) / sizes
+        for i in np.flatnonzero(~((0.0 < mu0) & (mu0 < math.inf))).tolist():
+            lo, hi = bounds[i], bounds[i + 1]
+            mu0[i] = _rescaled_mean_price(prices[lo:hi], quantities[lo:hi], weighted)
+        values = prices / np.repeat(mu0, sizes)
+        underflows = lows / mu0 == 0.0
+        failing = underflows
+        if weighted:
+            means = _group_sums(values * quantities, bounds) / totals
+            failing = underflows | (np.abs(means - 1.0) > 1e-12)
+    if failing.any():
+        i = int(np.argmax(failing))  # the first failing group in key order
+        if underflows[i]:
+            raise ModelError(
+                f"group {keys[i]}: normalized price {float(lows[i])!r} / "
+                f"{float(mu0[i])!r} underflows to 0"
+            )
+        raise ModelError(
+            f"group {keys[i]}: weighted mean of normalized prices is "
+            f"{float(means[i])!r}, not 1"
+        )
+    return [
+        NormalizedSample(key=key, mu0=mu, values=values[lo:hi], weights=quantities[lo:hi])
+        for key, mu, lo, hi in zip(keys, mu0.tolist(), bounds[:-1], bounds[1:])
+    ]
+
+
+def _group_sums(x: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """``x[lo:hi].sum()`` for each group between consecutive ``bounds``, bit for bit.
+
+    Groups of one size are gathered into a ``(groups, size)`` array and
+    summed along its rows. numpy sums each contiguous row by the pairwise
+    summation it applies to a contiguous slice, so every sum keeps the
+    bits of the per-slice one. A size that only one group has is summed on
+    its slice, without the copy. Distinct sizes number at most about
+    ``sqrt(2 * len(x))``, and so do the numpy calls.
+    """
+    sizes = np.diff(bounds)
+    by_size = np.argsort(sizes, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), sizes.size]
+    starts = np.asarray(bounds[:-1])
+    sums = np.empty(sizes.size)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        bucket = by_size[a:b]
+        i = int(bucket[0])
+        if bucket.size == 1:
+            sums[i] = x[bounds[i]:bounds[i + 1]].sum()
+        else:
+            sums[bucket] = x[starts[bucket, None] + np.arange(sizes[i])].sum(axis=1)
+    return sums
 
 
 def _rescaled_mean_price(prices: np.ndarray, quantities: np.ndarray, weighted: bool) -> float:
@@ -378,18 +418,24 @@ def group_std_devs(samples) -> tuple[Sample, int]:
     """One spread statistic per group, pooled for the lognormal fit.
 
     Each group with at least two transactions contributes its
-    quantity-weighted population standard deviation of normalized prices;
-    smaller groups carry no spread information and are skipped. Returns the
-    pooled unit-weight sample and the skipped-group count.
+    quantity-weighted population standard deviation of normalized prices,
+    bit for bit ``NormalizedSample.std()``; smaller groups carry no spread
+    information and are skipped. Returns the pooled unit-weight sample and
+    the skipped-group count.
     """
-    stds = []
-    skipped = 0
-    for group in samples:
-        if group.size < 2:
-            skipped += 1
-            continue
-        stds.append(group.std())
-    return Sample(values=np.array(stds, dtype=float)), skipped
+    groups = list(samples)
+    spread = [group for group in groups if group.size >= 2]
+    if not spread:
+        return Sample(values=np.empty(0)), len(groups)
+    sizes = [group.size for group in spread]
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    values = np.concatenate([group.values for group in spread])
+    weights = np.concatenate([group.weights for group in spread])
+    totals = _group_sums(weights, bounds)
+    means = _group_sums(values * weights, bounds) / totals
+    squares = weights * (values - np.repeat(means, sizes)) ** 2
+    stds = np.sqrt(_group_sums(squares, bounds) / totals)
+    return Sample(values=stds), len(groups) - len(spread)
 
 
 def write_normalized_samples(samples) -> str:

@@ -93,7 +93,7 @@ def fit_laplace(sample: Sample) -> FitResult:
         raise DegenerateSample("all observations coincide; scale is zero")
     params = LaplaceParams(mu=mu, sigma=sigma, mu_m=0.0)
     loglik = -total * (np.log(2.0 * sigma) + 1.0)
-    ks = ks_statistic(s, lambda x: laplace_cdf(x, params))
+    ks = _ks_of_sorted(s, lambda x: laplace_cdf(x, params))
     return FitResult(
         family=FAMILY_LAPLACE,
         params=params,
@@ -138,15 +138,18 @@ def fit_shifted_lognormal(
     EmptyFeasibleShift
         If no candidate shift leaves every observation above it.
     DegenerateSample
-        If fewer than three observations are given, the shifted logs carry
-        no spread at the optimum, or the best shift is the upper bound set
-        by the smallest value: the profile has no local maximum in the
-        bounds.
+        If fewer than three observations are given, all of them coincide,
+        the shifted logs carry no spread at the optimum, or the best shift
+        is the upper bound set by the smallest value: the profile has no
+        local maximum in the bounds.
     """
     if sample.size < 3:
         raise DegenerateSample("need at least three observations for three parameters")
     s = sample.sorted()
     values, weights, total = s.values, s.weights, s.total_weight
+    if values[0] == values[-1]:
+        # every shift leaves logs of one value, whose variance is rounding
+        raise DegenerateSample("all observations coincide; shifted logs carry no spread")
     min_x = float(values[0])
     tiny = 1e-12 * max(1.0, abs(min_x))
     if shift_bounds is None:
@@ -195,7 +198,7 @@ def fit_shifted_lognormal(
     loglik = -total * (
         0.5 * np.log(2.0 * np.pi * var) + 0.5 + mean
     )
-    ks = ks_statistic(s, lambda x: lognormal_cdf(x, params))
+    ks = _ks_of_sorted(s, lambda x: lognormal_cdf(x, params))
     return FitResult(
         family=FAMILY_SHIFTED_LOGNORMAL,
         params=params,
@@ -216,7 +219,11 @@ def ks_statistic(sample: Sample, cdf) -> float:
     """
     if sample.size == 0:
         raise DegenerateSample("cannot compare an empty sample to a law")
-    s = sample.sorted()
+    return _ks_of_sorted(sample.sorted(), cdf)
+
+
+def _ks_of_sorted(s: Sample, cdf) -> float:
+    """``ks_statistic`` of a nonempty sample already ordered by value."""
     fractions = np.cumsum(s.weights) / s.total_weight
     model = np.asarray(cdf(s.values), dtype=float)
     below = np.concatenate(([0.0], fractions[:-1]))
@@ -245,11 +252,14 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("histogram grid must be uniform")
     h = float(spacing[0])
-    index = np.rint((sample.values - grid[0]) / h).astype(int)
-    inside = (index >= 0) & (index < grid.size)
+    with np.errstate(over="ignore"):
+        # a value far off the grid may land on an infinite position
+        position = np.rint((sample.values - grid[0]) / h)
+    # mask before the cast: a position beyond the int range has no int
+    inside = (position >= 0) & (position < grid.size)
     kept = float(sample.weights[inside].sum())
     if kept <= 0.0:
         raise DegenerateSample("every observation falls outside the grid")
     counts = np.zeros(grid.size)
-    np.add.at(counts, index[inside], sample.weights[inside])
+    np.add.at(counts, position[inside].astype(int), sample.weights[inside])
     return GriddedDistribution.from_density(grid, counts), 1.0 - kept / sample.total_weight

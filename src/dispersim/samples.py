@@ -46,6 +46,17 @@ class Sample:
         return float(self.weights.sum())
 
     def sorted(self) -> "Sample":
-        """Copy ordered by value, weights carried along."""
-        order = np.argsort(self.values, kind="stable")
-        return Sample(values=self.values[order], weights=self.weights[order])
+        """Copy ordered by value, weights carried along, in the stable order.
+
+        Equal values keep their input order, so the permutation is that of
+        ``argsort(kind="stable")``. Without ties (``-0.0`` ties ``0.0``) the
+        sorted order is unique, and numpy's default sort, several times
+        faster on large samples, finds it; only a sample with ties is
+        sorted again, stably.
+        """
+        order = np.argsort(self.values)
+        values = self.values[order]
+        if np.any(values[1:] == values[:-1]):
+            order = np.argsort(self.values, kind="stable")
+            values = self.values[order]
+        return Sample(values=values, weights=self.weights[order])

@@ -549,6 +549,29 @@ def test_failed_fit_reruns_leave_the_output_directory_untouched(tmp_path, capsys
     assert _dir_bytes(out) == before
 
 
+@pytest.mark.parametrize("family, rows, message", [
+    ("laplace", "1.0\n1.0\n1.0\n", "all observations coincide; scale is zero"),
+    ("laplace", "1.0\n", "need at least two observations"),
+    ("shifted-lognormal", "2.0\n2.0\n2.0\n2.0\n", "all observations coincide"),
+    ("shifted-lognormal", "2.0\n", "need at least three observations"),
+])
+def test_fit_of_a_degenerate_sample_exits_2_and_leaves_out_untouched(
+        tmp_path, capsys, family, rows, message):
+    # the default grid of such a sample is empty: the fitter's refusal comes first
+    draws = np.random.default_rng(4).laplace(1.0, 0.125, 100)
+    good = _write(tmp_path, "good.csv", write_sample(Sample(draws)))
+    code, out = _run(tmp_path, "fit", f"fit.input = {good}\nfit.family = {family}\n")
+    assert code == 0
+    before = _dir_bytes(out)
+    capsys.readouterr()
+    sample_path = _write(tmp_path, "s.csv", "value\n" + rows)
+    code, _ = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = {family}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "p_max > p_min" not in err
+    assert _dir_bytes(out) == before
+
+
 def test_fit_laplace_below_the_floor_exits_2_without_artifacts(tmp_path, capsys):
     sample_path = _write(tmp_path, "s.csv", "value\n-1\n-0.5\n-0.2\n0.1\n")
     code, out = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = laplace\n")

@@ -211,12 +211,36 @@ def test_normalized_weighted_means_are_one_for_every_group():
         assert abs(group.weighted_mean() - 1.0) <= 1e-12
 
 
-def test_normalize_refuses_a_group_whose_weighted_mean_misses_one(monkeypatch):
-    table = _table(f"{HEADER_LINE}\nmilk,north,2011Q1,1.0,3\n")
-    monkeypatch.setattr(NormalizedSample, "weighted_mean", lambda self: 1.0 + 1e-9)
-    with pytest.raises(ModelError, match="milk"):
+def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
+    # subnormal quantities round each product to a few bits, so the
+    # quantity-weighted mean of the normalized prices drifts off 1
+    milk = "milk,n,2011Q1,3.0,1.14e-322\nmilk,s,2011Q1,1.6,1.3e-322\n"
+    table = _table(f"{HEADER_LINE}\nrice,n,2011Q1,1.0,1\n{milk}")
+    message = (r"^group \('milk',\): weighted mean of normalized prices is "
+               r"0\.9795918367346939, not 1$")
+    with pytest.raises(ModelError, match=message):
         normalize_prices(table)
-    normalize_prices(table, weighted=False)
+    assert [g.mu0 for g in normalize_prices(table, weighted=False)] == [2.3, 1.0]
+
+    # the first failing group in key order is refused, not the first in the table
+    apple = "apple,n,2011Q1,1e-300,1\napple,s,2011Q1,1e300,1\n"
+    with pytest.raises(ModelError, match=r"^group \('apple',\): .* underflows to 0$"):
+        normalize_prices(_table(f"{HEADER_LINE}\n{milk}{apple}"))
+    zebra = apple.replace("apple", "zebra")
+    with pytest.raises(ModelError, match=message):
+        normalize_prices(_table(f"{HEADER_LINE}\n{zebra}{milk}"))
+
+    # within a group, the underflow check comes before the mean check
+    both = _table(
+        f"{HEADER_LINE}\n"
+        "milk,a,2011Q1,1e-300,4e-323\nmilk,b,2011Q1,3.4e299,5e-323\n"
+        "milk,c,2011Q1,7.5e299,9e-323\nmilk,d,2011Q1,1.7e299,1.2e-322\n"
+    )
+    values = both.price / (np.sum(both.price * both.quantity) / np.sum(both.quantity))
+    assert values[0] == 0.0
+    assert abs(np.sum(values * both.quantity) / np.sum(both.quantity) - 1.0) > 1e-12
+    with pytest.raises(ModelError, match="underflows to 0"):
+        normalize_prices(both)
 
 
 def test_normalize_rescales_a_group_whose_sums_overflow():

@@ -5,7 +5,9 @@ dict-based grouping that ``dataio`` used before its columnar rewrite, kept
 verbatim apart from their names. On generated CSV text the columnar code
 must return the same arrays, keys and bit-equal ``mu0``, or raise the same
 exception class at the same row. The inputs on which the two depart on
-purpose (numpy's number grammar) are pinned in ``DEPARTURES``.
+purpose (numpy's number grammar) are pinned in ``DEPARTURES``. The
+size-bucketed group sums behind ``normalize_prices`` and ``group_std_devs``
+are checked bit for bit against per-slice sums and ``NormalizedSample.std``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from dispersim.dataio import (
     SAMPLE_HEADERS,
     NormalizedSample,
     TransactionTable,
+    _group_sums,
+    group_std_devs,
     load_sample,
     load_transactions,
     normalize_prices,
@@ -271,10 +275,12 @@ def _assert_same_groups(table: TransactionTable) -> None:
     for grouping in GROUPINGS:
         for weighted in (True, False):
             try:
-                with np.errstate(over="ignore"):
+                # plain sums that overflow, or products that underflow to a
+                # zero mu0, leave the float range; see the overflow test
+                with np.errstate(over="ignore", divide="ignore"):
                     ref = reference_normalize_prices(table, grouping, weighted)
             except ValueError:
-                continue  # its plain sums left the float range; see the overflow test
+                continue
             except ModelError:
                 with pytest.raises(ModelError):
                     normalize_prices(table, grouping, weighted)
@@ -455,3 +461,46 @@ def test_write_sample_bytes_match_the_per_row_writer(rows, weighted):
     weights = np.array([w for _, w in rows], dtype=float) if weighted else None
     sample = Sample(values, weights)
     assert write_sample(sample) == reference_write_sample(sample)
+
+
+# --- size-bucketed group sums ---------------------------------------------
+
+#: Group sizes in table order: sizes 1-300 with repeats, sizes around and
+#: past numpy's 128-element pairwise-summation block, many groups of one
+#: size, and one group per size.
+_group_sizes = st.one_of(
+    st.lists(st.integers(1, 300), min_size=1, max_size=60),
+    st.lists(st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 1025, 4000]),
+             min_size=1, max_size=12),
+    st.tuples(st.integers(1, 300), st.integers(2, 3000)).map(lambda t: [t[0]] * t[1]),
+    st.integers(1, 300).flatmap(lambda m: st.permutations(range(1, m + 1))),
+)
+
+
+@settings(max_examples=200)
+@given(sizes=_group_sizes, seed=st.integers(0, 2**32 - 1))
+@example(sizes=[3, 1, 3, 1000, 3, 1025, 1], seed=0)
+def test_group_sums_are_the_per_slice_sums_bit_for_bit(sizes, seed):
+    rng = np.random.default_rng(seed)
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    # mixed signs over 17 decades, so that any other summation order shows
+    x = rng.standard_normal(bounds[-1]) * np.exp(rng.uniform(-20.0, 20.0, bounds[-1]))
+    per_slice = [x[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    np.testing.assert_array_equal(_group_sums(x, bounds), per_slice)
+
+
+@settings(max_examples=100)
+@given(sizes=_group_sizes, seed=st.integers(0, 2**32 - 1), integer_weights=st.booleans())
+def test_group_std_devs_are_the_per_group_std_bit_for_bit(sizes, seed, integer_weights):
+    rng = np.random.default_rng(seed)
+    groups = [
+        NormalizedSample(
+            (str(i),), 1.0, rng.lognormal(0.0, 0.5, n),
+            rng.integers(1, 11, n).astype(float) if integer_weights else rng.uniform(0.1, 10.0, n),
+        )
+        for i, n in enumerate(sizes)
+    ]
+    pooled, skipped = group_std_devs(group for group in groups)
+    assert skipped == sum(n < 2 for n in sizes)
+    np.testing.assert_array_equal(pooled.values, [g.std() for g in groups if g.size >= 2])
+    np.testing.assert_array_equal(pooled.weights, np.ones(len(sizes) - skipped))

@@ -144,6 +144,9 @@ def test_constant_values_have_no_log_spread():
         fit_shifted_lognormal(
             Sample(np.array([2.0, 2.0, 2.0])), shift_bounds=(0.0, 0.0)
         )
+    # a searched shift leaves a variance of rounding noise, not a spread
+    with pytest.raises(DegenerateSample, match="all observations coincide"):
+        fit_shifted_lognormal(Sample(np.array([2.0, 2.0, 2.0, 2.0, 2.0])))
 
 
 @pytest.mark.parametrize("n", [30, 300])
@@ -289,6 +292,18 @@ def test_histogram_reports_dropped_weight_fraction():
     dist, dropped = histogram(sample, grid)
     assert dropped == pytest.approx(0.5)
     assert dist.cumulative[-1] == 1.0
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300, 1.7e308, -1.7e308])
+def test_histogram_drops_values_far_outside_the_grid_without_casting_them(far):
+    # their bin positions lie beyond the int range (or overflow to inf), and
+    # pytest turns the cast's RuntimeWarning into an error
+    grid = uniform_grid(0.0, 2.0, 201)
+    inside = np.array([1.0, 1.1, 1.2])
+    dist, dropped = histogram(Sample(np.append(inside, far)), grid)
+    assert dropped == 0.25
+    np.testing.assert_array_equal(dist.density, histogram(Sample(inside), grid)[0].density)
+    assert np.flatnonzero(dist.density).tolist() == [100, 110, 120]
 
 
 def test_histogram_rejects_bad_inputs():

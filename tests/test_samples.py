@@ -47,3 +47,19 @@ def test_sorted_keeps_weights_aligned_and_is_stable():
 def test_negative_values_are_fine():
     s = Sample(np.array([-3.0, 0.0, 3.0]))
     assert s.sorted().values[0] == -3.0
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(0).laplace(1.0, 0.2, 5000),
+    np.round(np.random.default_rng(1).laplace(1.0, 0.2, 5000), 2),
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+    np.array([3.0]),
+    np.array([]),
+], ids=["distinct", "ties", "signed-zeros", "one", "empty"])
+def test_sorted_is_the_stable_argsort_order(values):
+    weights = np.arange(1.0, values.size + 1.0)
+    order = np.argsort(values, kind="stable")
+    out = Sample(values, weights).sorted()
+    np.testing.assert_array_equal(out.weights, weights[order])
+    np.testing.assert_array_equal(np.signbit(out.values), np.signbit(values[order]))
+    np.testing.assert_array_equal(out.values, values[order])
