@@ -78,7 +78,7 @@ from .estimate import (
     ks_statistic,
 )
 from .dataio import (
-    NormalizedSample,
+    NormalizedGroups,
     TransactionTable,
     group_std_devs,
     load_sample,
@@ -110,7 +110,7 @@ __all__ = [
     "Sample",
     "FitResult", "fit_laplace", "fit_shifted_lognormal", "histogram",
     "ks_statistic",
-    "NormalizedSample", "TransactionTable", "group_std_devs", "load_sample",
+    "NormalizedGroups", "TransactionTable", "group_std_devs", "load_sample",
     "load_transactions", "normalize_prices", "serialize_transactions",
     "write_normalized_samples", "write_sample",
 ]

@@ -14,12 +14,13 @@ builds the result, whose constructor validates the columns. Only when the
 parse or the build fails does it re-read the file record by record, under
 one row check driven by the header's columns, to name the first bad row.
 Grouping sorts the rows once by integer group codes, so each group is a
-contiguous slice. Per-group sums are taken by size bucket: the groups of
-one size are gathered into one ``(groups, size)`` array and summed along
-its rows. numpy sums a contiguous row by the same pairwise summation as a
-contiguous slice of that length, so every sum, and every mean and spread
-built from them, keeps the bits of the per-group loop, with a few numpy
-calls per distinct group size instead of per group.
+contiguous slice of the columns of one result, which the spread statistics
+and the writer read in place. Per-group sums are taken by size bucket: the
+groups of one size are gathered into one ``(groups, size)`` array and
+summed along its rows. numpy sums a contiguous row by the same pairwise
+summation as a contiguous slice of that length, so every sum, and every
+mean and spread built from them, keeps the bits of the per-group loop,
+with a few numpy calls per distinct group size instead of per group.
 """
 
 from __future__ import annotations
@@ -89,47 +90,47 @@ class TransactionTable:
 
 
 @dataclass(frozen=True)
-class NormalizedSample:
-    """Normalized prices of one group: values ``p / mu0``, weights = quantity.
+class NormalizedGroups:
+    """Normalized prices of every group, in columns.
 
-    Under the default quantity-weighted ``mu0`` the quantity-weighted mean
-    of the values is 1 by construction; with an unweighted ``mu0`` it need
-    not be, which is why the identity is asserted by the pipeline rather
-    than by this type.
+    Group ``i`` has key ``keys[i]`` and mean price ``mu0[i]``; its rows are
+    ``values[bounds[i]:bounds[i + 1]]`` (prices ``p / mu0``) and the same
+    slice of ``weights`` (quantities). Under the default quantity-weighted
+    ``mu0`` each group's quantity-weighted mean of the values is 1 by
+    construction; with an unweighted ``mu0`` it need not be, which is why
+    the identity is asserted by the pipeline rather than by this type.
     """
 
-    key: tuple[str, ...]
-    mu0: float
+    keys: tuple[tuple[str, ...], ...]
+    mu0: np.ndarray
+    bounds: np.ndarray
     values: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        keys = tuple(self.keys)
+        mu0 = np.asarray(self.mu0, dtype=float)
+        bounds = np.asarray(self.bounds)
         values = np.asarray(self.values, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if weights.shape != values.shape:
-            raise ValueError("weights must match values in shape")
-        if self.mu0 <= 0.0:
-            raise ValueError("mu0 must be positive")
-        if (values <= 0.0).any() or (weights <= 0.0).any():
-            raise ValueError("values and weights must be positive")
+        if mu0.shape != (len(keys),) or bounds.shape != (len(keys) + 1,):
+            raise ValueError("keys and mu0 must hold one entry per group, bounds one more")
+        if values.ndim != 1 or weights.shape != values.shape:
+            raise ValueError("values and weights must be 1-D arrays of one length")
+        if (bounds.dtype.kind not in "iu" or bounds[0] != 0 or bounds[-1] != values.size
+                or np.any(bounds[1:] <= bounds[:-1])):
+            raise ValueError("bounds must be integers rising strictly from 0 to the row count")
+        for name, column in (("mu0", mu0), ("values", values), ("weights", weights)):
+            if not np.all((0.0 < column) & (column < math.inf)):
+                raise ValueError(f"{name} must be positive and finite")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "key", tuple(self.key))
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def weighted_mean(self) -> float:
-        return float((self.values * self.weights).sum() / self.weights.sum())
-
-    def std(self) -> float:
-        """Quantity-weighted population standard deviation of the values."""
-        mean = self.weighted_mean()
-        var = float((self.weights * (self.values - mean) ** 2).sum() / self.weights.sum())
-        return math.sqrt(var)
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def _open_text(source):
@@ -298,17 +299,19 @@ def _group_codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 def normalize_prices(
     table: TransactionTable, grouping: str = "good", weighted: bool = True
-) -> list[NormalizedSample]:
+) -> NormalizedGroups:
     """Normalize prices by the per-group mean price.
 
     ``mu0`` is the quantity-weighted mean price of the group by default;
     ``weighted=False`` switches to the unweighted mean for comparison, since
-    the convention is a modeling choice. Groups are returned sorted by key,
+    the convention is a modeling choice. Groups come back sorted by key,
     each keeping its rows in table order. A single-transaction group
-    normalizes to the value 1 exactly under the weighted convention. A
-    group whose plain sums overflow (or whose products all underflow) is
-    averaged after dividing its prices and quantities by their largest
-    values; every other group keeps the plain sums' bits.
+    normalizes to 1 exactly under the unweighted convention; under the
+    weighted one its value is ``p / ((p * q) / q)``, whose three roundings
+    keep it within ``1.5 * eps`` of 1 but not always at 1. A group whose
+    plain sums overflow (or whose products all underflow) is averaged
+    after dividing its prices and quantities by their largest values;
+    every other group keeps the plain sums' bits.
 
     Raises
     ------
@@ -317,9 +320,10 @@ def normalize_prices(
     ValueError
         If ``grouping`` is not one of ``GROUPINGS``.
     ModelError
-        If a group's normalized prices underflow to 0, or its
+        If a group's normalized prices underflow to 0 or overflow, or its
         quantity-weighted mean under the weighted convention misses 1 by
-        more than 1e-12.
+        more than 1e-12. The first such group in key order is named, and
+        within it the first of these checks that fails, in that order.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
@@ -331,7 +335,7 @@ def normalize_prices(
     order = np.lexsort(codes[::-1])
     codes = [code[order] for code in codes]
     starts = np.flatnonzero(np.any([c[1:] != c[:-1] for c in codes], axis=0)) + 1
-    bounds = [0, *starts.tolist(), table.size]
+    bounds = np.concatenate(([0], starts, [table.size]))
     keys = list(zip(*(
         [column_names[i] for i in code[bounds[:-1]].tolist()]
         for column_names, code in zip(names, codes)
@@ -339,9 +343,11 @@ def normalize_prices(
     prices = table.price[order]
     quantities = table.quantity[order]
     sizes = np.diff(bounds)
-    # division is monotone, so a group's smallest normalized price is low / mu0
+    # division is monotone: a group's values run from low / mu0 to high / mu0
     lows = np.minimum.reduceat(prices, bounds[:-1])
-    with np.errstate(over="ignore"):
+    highs = np.maximum.reduceat(prices, bounds[:-1])
+    # sums out of range are rescaled and quotients out of range refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if weighted:
             totals = _group_sums(quantities, bounds)
             mu0 = _group_sums(prices * quantities, bounds) / totals
@@ -352,28 +358,24 @@ def normalize_prices(
             mu0[i] = _rescaled_mean_price(prices[lo:hi], quantities[lo:hi], weighted)
         values = prices / np.repeat(mu0, sizes)
         underflows = lows / mu0 == 0.0
-        failing = underflows
+        overflows = ~(highs / mu0 < math.inf)
+        failing = underflows | overflows
         if weighted:
             means = _group_sums(values * quantities, bounds) / totals
-            failing = underflows | (np.abs(means - 1.0) > 1e-12)
+            failing |= np.abs(means - 1.0) > 1e-12
     if failing.any():
         i = int(np.argmax(failing))  # the first failing group in key order
         if underflows[i]:
-            raise ModelError(
-                f"group {keys[i]}: normalized price {float(lows[i])!r} / "
-                f"{float(mu0[i])!r} underflows to 0"
-            )
-        raise ModelError(
-            f"group {keys[i]}: weighted mean of normalized prices is "
-            f"{float(means[i])!r}, not 1"
-        )
-    return [
-        NormalizedSample(key=key, mu0=mu, values=values[lo:hi], weights=quantities[lo:hi])
-        for key, mu, lo, hi in zip(keys, mu0.tolist(), bounds[:-1], bounds[1:])
-    ]
+            reason = f"normalized price {float(lows[i])!r} / {float(mu0[i])!r} underflows to 0"
+        elif overflows[i]:
+            reason = f"normalized price {float(highs[i])!r} / {float(mu0[i])!r} overflows"
+        else:
+            reason = f"weighted mean of normalized prices is {float(means[i])!r}, not 1"
+        raise ModelError(f"group {keys[i]}: {reason}")
+    return NormalizedGroups(keys, mu0, bounds, values, quantities)
 
 
-def _group_sums(x: np.ndarray, bounds: list[int]) -> np.ndarray:
+def _group_sums(x: np.ndarray, bounds) -> np.ndarray:
     """``x[lo:hi].sum()`` for each group between consecutive ``bounds``, bit for bit.
 
     Groups of one size are gathered into a ``(groups, size)`` array and
@@ -414,31 +416,28 @@ def _rescaled_mean_price(prices: np.ndarray, quantities: np.ndarray, weighted: b
     return float(mean * top)
 
 
-def group_std_devs(samples) -> tuple[Sample, int]:
+def group_std_devs(groups: NormalizedGroups) -> tuple[Sample, int]:
     """One spread statistic per group, pooled for the lognormal fit.
 
     Each group with at least two transactions contributes its
     quantity-weighted population standard deviation of normalized prices,
-    bit for bit ``NormalizedSample.std()``; smaller groups carry no spread
-    information and are skipped. Returns the pooled unit-weight sample and
-    the skipped-group count.
+    each sum in it bit for bit that of the group's slice alone; smaller
+    groups carry no spread information and are skipped. Returns the pooled
+    unit-weight sample and the skipped-group count.
     """
-    groups = list(samples)
-    spread = [group for group in groups if group.size >= 2]
-    if not spread:
+    bounds, values, weights = groups.bounds, groups.values, groups.weights
+    sizes = np.diff(bounds)
+    spread = sizes >= 2
+    if not spread.any():
         return Sample(values=np.empty(0)), len(groups)
-    sizes = [group.size for group in spread]
-    bounds = [0, *np.cumsum(sizes).tolist()]
-    values = np.concatenate([group.values for group in spread])
-    weights = np.concatenate([group.weights for group in spread])
     totals = _group_sums(weights, bounds)
     means = _group_sums(values * weights, bounds) / totals
     squares = weights * (values - np.repeat(means, sizes)) ** 2
-    stds = np.sqrt(_group_sums(squares, bounds) / totals)
-    return Sample(values=stds), len(groups) - len(spread)
+    stds = np.sqrt(_group_sums(squares, bounds)[spread] / totals[spread])
+    return Sample(values=stds), len(groups) - stds.size
 
 
-def write_normalized_samples(samples) -> str:
+def write_normalized_samples(groups: NormalizedGroups) -> str:
     """Render normalized groups as ``group_key,value,weight`` rows.
 
     Key components are joined with ``|`` into a single field, quoted as
@@ -447,15 +446,15 @@ def write_normalized_samples(samples) -> str:
     label_buffer = io.StringIO()
     label_writer = csv.writer(label_buffer, lineterminator="\n")
     parts = ["group_key,value,weight\n"]
-    for group in samples:
+    bounds = groups.bounds.tolist()
+    values, weights = groups.values.tolist(), groups.weights.tolist()
+    for key, lo, hi in zip(groups.keys, bounds[:-1], bounds[1:]):
         label_buffer.seek(0)
         label_buffer.truncate()
-        label_writer.writerow(("|".join(group.key), ""))
+        label_writer.writerow(("|".join(key), ""))
         label = label_buffer.getvalue()[:-2]  # drop the empty field's ",\n"
-        parts += [
-            f"{label},{value!r},{weight!r}\n"
-            for value, weight in zip(group.values.tolist(), group.weights.tolist())
-        ]
+        rows = zip(values[lo:hi], weights[lo:hi])
+        parts += [f"{label},{value!r},{weight!r}\n" for value, weight in rows]
     return "".join(parts)
 
 

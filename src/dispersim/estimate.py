@@ -135,6 +135,8 @@ def fit_shifted_lognormal(
 
     Raises
     ------
+    ValueError
+        If ``shift_bounds`` are not ``0 <= lo <= hi`` as given.
     EmptyFeasibleShift
         If no candidate shift leaves every observation above it.
     DegenerateSample
@@ -143,6 +145,8 @@ def fit_shifted_lognormal(
         is the upper bound set by the smallest value: the profile has no
         local maximum in the bounds.
     """
+    if shift_bounds is not None and not 0.0 <= shift_bounds[0] <= shift_bounds[1]:
+        raise ValueError(f"shift bounds must satisfy 0 <= lo <= hi, got {tuple(shift_bounds)}")
     if sample.size < 3:
         raise DegenerateSample("need at least three observations for three parameters")
     s = sample.sorted()
@@ -155,7 +159,8 @@ def fit_shifted_lognormal(
     if shift_bounds is None:
         if min_x <= 0.0:
             raise EmptyFeasibleShift(
-                "smallest observation is not positive; pass explicit shift bounds"
+                f"smallest observation {min_x!r} is not positive, so no nonnegative "
+                "shift lies below it"
             )
         lo, hi = 0.0, 0.99 * min_x
         clamped = True

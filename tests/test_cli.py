@@ -533,6 +533,18 @@ def test_fit_rejects_mismatched_shift_options(tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo, hi", [("-5", "-4"), ("0.3", "0.1"), ("-1", "0.5")])
+def test_fit_refuses_negative_or_inverted_shift_bounds_with_exit_1(tmp_path, capsys, lo, hi):
+    draws = np.random.default_rng(1).lognormal(0.0, 0.3, 100)
+    sample_path = _write(tmp_path, "s.csv", write_sample(Sample(draws)))
+    cfg = (f"fit.input = {sample_path}\nfit.family = shifted-lognormal\n"
+           f"fit.shift_lo = {lo}\nfit.shift_hi = {hi}\n")
+    code, out = _run(tmp_path, "fit", cfg)
+    assert code == 1
+    assert "shift bounds must satisfy 0 <= lo <= hi" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_failed_fit_reruns_leave_the_output_directory_untouched(tmp_path, capsys):
     draws = np.random.default_rng(4).laplace(1.0, 0.125, 1000)
     sample_path = _write(tmp_path, "sample.csv", write_sample(Sample(draws)))
@@ -634,6 +646,24 @@ def test_normalize_underflowing_group_exits_2_without_artifacts(tmp_path, capsys
     assert code == 2
     assert "milk" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_normalize_overflowing_group_exits_2_and_leaves_out_untouched(tmp_path, capsys):
+    header = "good_id,market_id,quarter,price,quantity\n"
+    good = _write(tmp_path, "good.csv", header + "milk,a,q,1.0,2\nmilk,b,q,3.0,1\n")
+    code, out = _run(tmp_path, "normalize", f"normalize.input = {good}\n")
+    assert code == 0
+    before = _dir_bytes(out)
+    capsys.readouterr()
+    data_path = _write(
+        tmp_path, "t.csv",
+        header + "milk,a,q,1e-300,1e308\nmilk,b,q,1e-300,1e308\nmilk,c,q,1e300,1e-100\n",
+    )
+    # pytest turns numpy's RuntimeWarnings into errors, so none is raised
+    code, _ = _run(tmp_path, "normalize", f"normalize.input = {data_path}\n")
+    assert code == 2
+    assert "group ('milk',): normalized price 1e+300 / 0.0 overflows" in capsys.readouterr().err
+    assert _dir_bytes(out) == before
 
 
 def test_normalize_rejects_unknown_grouping(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from dispersim.dataio import (
     GROUPINGS,
-    NormalizedSample,
+    NormalizedGroups,
     TransactionTable,
     group_std_devs,
     load_sample,
@@ -28,6 +28,14 @@ HEADER_LINE = "good_id,market_id,quarter,price,quantity"
 
 def _table(text: str) -> TransactionTable:
     return load_transactions(io.StringIO(text))
+
+
+def _weighted_means(groups: NormalizedGroups) -> np.ndarray:
+    lo, hi = groups.bounds[:-1], groups.bounds[1:]
+    return np.array([
+        (groups.values[a:b] * groups.weights[a:b]).sum() / groups.weights[a:b].sum()
+        for a, b in zip(lo, hi)
+    ])
 
 
 def test_load_parses_fields():
@@ -138,7 +146,7 @@ def test_group_keys_at_each_granularity():
     )
 
     def keys(grouping):
-        return [g.key for g in normalize_prices(table, grouping)]
+        return list(normalize_prices(table, grouping).keys)
 
     assert keys("good") == [("milk",)]
     assert keys("good+market") == [("milk", "north"), ("milk", "south")]
@@ -146,7 +154,7 @@ def test_group_keys_at_each_granularity():
         ("milk", "north", "2011Q1"),
         ("milk", "south", "2011Q2"),
     ]
-    assert [g.size for g in normalize_prices(table, "good")] == [2]
+    np.testing.assert_array_equal(normalize_prices(table, "good").bounds, [0, 2])
     with pytest.raises(ValueError):
         normalize_prices(table, "shop")
     assert set(GROUPINGS) == {"good", "good+market", "good+market+quarter"}
@@ -160,9 +168,9 @@ def test_normalize_equal_quantities():
     )
     groups = normalize_prices(table)
     assert len(groups) == 1
-    assert groups[0].mu0 == 2.0
-    np.testing.assert_array_equal(groups[0].values, [0.5, 1.5])
-    np.testing.assert_array_equal(groups[0].weights, [1.0, 1.0])
+    assert groups.mu0.tolist() == [2.0]
+    np.testing.assert_array_equal(groups.values, [0.5, 1.5])
+    np.testing.assert_array_equal(groups.weights, [1.0, 1.0])
 
 
 def test_normalize_weights_by_quantity():
@@ -172,9 +180,9 @@ def test_normalize_weights_by_quantity():
         "milk,south,2011Q1,3.0,1\n"
     )
     groups = normalize_prices(table)
-    assert groups[0].mu0 == pytest.approx(1.5)
-    np.testing.assert_allclose(groups[0].values, [2.0 / 3.0, 2.0])
-    assert groups[0].weighted_mean() == pytest.approx(1.0, abs=1e-12)
+    assert groups.mu0[0] == pytest.approx(1.5)
+    np.testing.assert_allclose(groups.values, [2.0 / 3.0, 2.0])
+    assert _weighted_means(groups)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_unweighted_switch():
@@ -184,16 +192,32 @@ def test_normalize_unweighted_switch():
         "milk,south,2011Q1,3.0,1\n"
     )
     groups = normalize_prices(table, weighted=False)
-    assert groups[0].mu0 == pytest.approx(2.0)
-    np.testing.assert_allclose(groups[0].values, [0.5, 1.5])
+    assert groups.mu0[0] == pytest.approx(2.0)
+    np.testing.assert_allclose(groups.values, [0.5, 1.5])
     # under the unweighted convention the quantity-weighted mean drifts off 1
-    assert groups[0].weighted_mean() != pytest.approx(1.0, abs=1e-6)
+    assert _weighted_means(groups)[0] != pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_transaction_group_normalizes_to_one():
     table = _table(f"{HEADER_LINE}\nmilk,north,2011Q1,17.3,2\n")
     groups = normalize_prices(table)
-    assert groups[0].values[0] == 1.0
+    assert groups.values[0] == 1.0
+
+
+def test_single_transaction_groups_normalize_to_within_two_eps_of_one():
+    # (p * q) / q rounds, so a singleton's p / mu0 is 1 only up to a few ulp
+    rng = np.random.default_rng(20)
+    n = 20_000
+    prices = rng.uniform(0.01, 100.0, n)
+    table = TransactionTable(
+        np.array([f"g{i}" for i in range(n)], dtype=object),
+        np.full(n, "m", dtype=object), np.full(n, "q", dtype=object),
+        prices, rng.integers(1, 11, n).astype(float),
+    )
+    values = normalize_prices(table).values
+    assert np.all(np.abs(values - 1.0) <= 2.0 * np.finfo(float).eps)
+    assert np.any(values != 1.0)
+    assert np.all(normalize_prices(table, weighted=False).values == 1.0)
 
 
 def test_normalized_weighted_means_are_one_for_every_group():
@@ -207,8 +231,7 @@ def test_normalized_weighted_means_are_one_for_every_group():
             )
     groups = normalize_prices(_table("\n".join(rows) + "\n"))
     assert len(groups) == 5
-    for group in groups:
-        assert abs(group.weighted_mean() - 1.0) <= 1e-12
+    assert np.all(np.abs(_weighted_means(groups) - 1.0) <= 1e-12)
 
 
 def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
@@ -220,7 +243,7 @@ def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
                r"0\.9795918367346939, not 1$")
     with pytest.raises(ModelError, match=message):
         normalize_prices(table)
-    assert [g.mu0 for g in normalize_prices(table, weighted=False)] == [2.3, 1.0]
+    assert normalize_prices(table, weighted=False).mu0.tolist() == [2.3, 1.0]
 
     # the first failing group in key order is refused, not the first in the table
     apple = "apple,n,2011Q1,1e-300,1\napple,s,2011Q1,1e300,1\n"
@@ -243,22 +266,44 @@ def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
         normalize_prices(both)
 
 
+def test_normalize_refuses_a_group_whose_normalized_prices_overflow():
+    # every scaled product of the rescaled mean underflows, so mu0 is 0; the
+    # exact mean is about 5e-109, which puts 1e300 / mu0 near 2e408 anyway
+    rows = "milk,a,q,1e-300,1e308\nmilk,b,q,1e-300,1e308\nmilk,c,q,1e300,1e-100\n"
+    message = r"^group \('milk',\): normalized price 1e\+300 / 0\.0 overflows$"
+    with pytest.raises(ModelError, match=message):
+        normalize_prices(_table(f"{HEADER_LINE}\n{rows}"))
+    # the unweighted mean is about 3.3e299, so the smallest price underflows instead
+    with pytest.raises(ModelError, match=r"^group \('milk',\): .* underflows to 0$"):
+        normalize_prices(_table(f"{HEADER_LINE}\n{rows}"), weighted=False)
+
+    # the first failing group in key order is refused, whichever check fails
+    apple = "apple,n,q,1e-300,1\napple,s,q,1e300,1\n"
+    with pytest.raises(ModelError, match=r"^group \('apple',\): .* underflows to 0$"):
+        normalize_prices(_table(f"{HEADER_LINE}\n{rows}{apple}"))
+    rice ="rice,n,q,3.0,1.14e-322\nrice,s,q,1.6,1.3e-322\n"
+    with pytest.raises(ModelError, match=message):
+        normalize_prices(_table(f"{HEADER_LINE}\n{rice}{rows}"))
+    with pytest.raises(ModelError, match=r"^group \('rice',\): weighted mean"):
+        normalize_prices(_table(f"{HEADER_LINE}\n{rows.replace('milk', 'salt')}{rice}"))
+
+
 def test_normalize_rescales_a_group_whose_sums_overflow():
     table = _table(
         f"{HEADER_LINE}\n"
         "milk,n,2011Q1,1e200,1e200\n"
         "milk,s,2011Q1,2e200,1e200\n"
     )
-    (group,) = normalize_prices(table)
-    assert group.mu0 == pytest.approx(1.5e200, rel=1e-15)
-    np.testing.assert_allclose(group.values, [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
-    assert group.weighted_mean() == pytest.approx(1.0, abs=1e-12)
-    (plain,) = normalize_prices(table, weighted=False)
-    assert plain.mu0 == pytest.approx(1.5e200, rel=1e-15)
+    groups = normalize_prices(table)
+    assert groups.mu0[0] == pytest.approx(1.5e200, rel=1e-15)
+    np.testing.assert_allclose(groups.values, [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+    assert _weighted_means(groups)[0] == pytest.approx(1.0, abs=1e-12)
+    plain = normalize_prices(table, weighted=False)
+    assert plain.mu0[0] == pytest.approx(1.5e200, rel=1e-15)
     # products that underflow to zero take the same route
-    (tiny,) = normalize_prices(_table(f"{HEADER_LINE}\nmilk,n,q,1e-200,1e-200\n"))
-    assert tiny.mu0 == 1e-200
-    assert tiny.values[0] == 1.0
+    tiny = normalize_prices(_table(f"{HEADER_LINE}\nmilk,n,q,1e-200,1e-200\n"))
+    assert tiny.mu0.tolist() == [1e-200]
+    assert tiny.values.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -281,8 +326,8 @@ def test_groups_come_back_sorted_by_key():
         "apple,north,2011Q1,1.0,1\n"
         "mango,north,2011Q1,1.0,1\n"
     )
-    keys = [g.key for g in normalize_prices(table)]
-    assert keys == [("apple",), ("mango",), ("zebra",)]
+    keys = normalize_prices(table).keys
+    assert keys == (("apple",), ("mango",), ("zebra",))
 
 
 def test_normalize_empty_table_raises():
@@ -300,74 +345,87 @@ def test_renormalizing_already_normalized_prices_is_identity():
     )
     first = normalize_prices(table)
     rebuilt = TransactionTable(
-        good_id=np.concatenate([[g.key[0]] * g.size for g in first]),
+        good_id=np.repeat([key[0] for key in first.keys], np.diff(first.bounds)).astype(object),
         market_id=np.array(["m"] * 4, dtype=object),
         quarter=np.array(["q"] * 4, dtype=object),
-        price=np.concatenate([g.values for g in first]),
-        quantity=np.concatenate([g.weights for g in first]),
+        price=first.values,
+        quantity=first.weights,
     )
     second = normalize_prices(rebuilt)
-    for before, after in zip(first, second):
-        assert after.mu0 == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(after.values, before.values, rtol=1e-12)
+    assert second.keys == first.keys
+    np.testing.assert_array_equal(second.bounds, first.bounds)
+    np.testing.assert_allclose(second.mu0, 1.0, atol=1e-12)
+    np.testing.assert_allclose(second.values, first.values, rtol=1e-12)
 
 
-def test_normalized_sample_validation():
-    with pytest.raises(ValueError):
-        NormalizedSample(("a",), 1.0, np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        NormalizedSample(("a",), 0.0, np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        NormalizedSample(("a",), 1.0, np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        NormalizedSample(("a",), 1.0, np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        NormalizedSample(("a",), 1.0, np.array([1.0, 2.0]), np.array([1.0]))
+@pytest.mark.parametrize("keys, mu0, bounds, values, weights, message", [
+    # shapes
+    ([("a",)], [1.0, 2.0], [0, 1], [1.0], [1.0], "one entry per group"),
+    ([("a",)], [1.0], [0, 1, 2], [1.0, 1.0], [1.0, 1.0], "one entry per group"),
+    ([("a",)], [1.0], [0, 2], [1.0, 2.0], [1.0], "of one length"),
+    ([("a",)], [1.0], [0, 1], [[1.0]], [[1.0]], "of one length"),
+    # bounds
+    ([("a",)], [1.0], [1, 2], [1.0, 2.0], [1.0, 1.0], "rising strictly from 0"),
+    ([("a",)], [1.0], [0, 1], [1.0, 2.0], [1.0, 1.0], "to the row count"),
+    ([("a",), ("b",)], [1.0, 1.0], [0, 0, 1], [1.0], [1.0], "rising strictly"),
+    ([("a",), ("b",)], [1.0, 1.0], [0, 2, 1], [1.0], [1.0], "rising strictly"),
+    ([("a",)], [1.0], [0.0, 1.0], [1.0], [1.0], "rising strictly"),
+    ([], [], [], [], [], "one entry per group"),
+    # signs and finiteness
+    ([("a",)], [0.0], [0, 1], [1.0], [1.0], "mu0 must be positive and finite"),
+    ([("a",)], [np.inf], [0, 1], [1.0], [1.0], "mu0 must be positive and finite"),
+    ([("a",)], [1.0], [0, 1], [-1.0], [1.0], "values must be positive and finite"),
+    ([("a",)], [1.0], [0, 1], [np.inf], [1.0], "values must be positive and finite"),
+    ([("a",)], [1.0], [0, 1], [np.nan], [1.0], "values must be positive and finite"),
+    ([("a",)], [1.0], [0, 1], [1.0], [0.0], "weights must be positive and finite"),
+    ([("a",)], [1.0], [0, 1], [1.0], [np.inf], "weights must be positive and finite"),
+])
+def test_normalized_groups_validation(keys, mu0, bounds, values, weights, message):
+    with pytest.raises(ValueError, match=message):
+        NormalizedGroups(keys, mu0, bounds, values, weights)
 
 
-def test_normalized_sample_statistics():
-    group = NormalizedSample(
-        ("a",), 2.0, np.array([0.5, 1.5]), np.array([1.0, 1.0])
+def test_normalized_groups_hold_one_record_of_every_group():
+    groups = NormalizedGroups(
+        [("a",), ("b", "c")], [2.0, 4.0], [0, 2, 3], [0.5, 1.5, 1.0], [1.0, 3.0, 2.0]
     )
-    assert group.weighted_mean() == 1.0
-    assert group.std() == pytest.approx(0.5)
-    heavy = NormalizedSample(
-        ("a",), 2.0, np.array([0.5, 1.5]), np.array([3.0, 1.0])
-    )
-    # weighted mean 0.75; weighted second moment (3*0.0625 + 1*0.5625)/4
-    assert heavy.weighted_mean() == pytest.approx(0.75)
-    assert heavy.std() == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-12)
+    assert len(groups) == 2
+    assert groups.keys == (("a",), ("b", "c"))
+    assert len(NormalizedGroups([], [], [0], [], [])) == 0
 
 
 def test_group_std_devs_pools_and_skips_singletons():
-    groups = [
-        NormalizedSample(("a",), 1.0, np.array([0.5, 1.5]), np.array([1.0, 1.0])),
-        NormalizedSample(("b",), 1.0, np.array([1.0]), np.array([1.0])),
-        NormalizedSample(("c",), 1.0, np.array([0.9, 1.1]), np.array([1.0, 1.0])),
-    ]
+    groups = NormalizedGroups(
+        [("a",), ("b",), ("c",)], [1.0] * 3, [0, 2, 3, 5], [0.5, 1.5, 1.0, 0.9, 1.1], [1.0] * 5
+    )
     pooled, skipped = group_std_devs(groups)
     assert skipped == 1
     np.testing.assert_allclose(pooled.values, [0.5, 0.1])
     assert pooled.size == 2
+    # weighted mean 0.75; weighted second moment (3*0.0625 + 1*0.5625)/4
+    heavy, _ = group_std_devs(NormalizedGroups([("a",)], [2.0], [0, 2], [0.5, 1.5], [3.0, 1.0]))
+    assert heavy.values[0] == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-12)
 
 
 def test_group_std_devs_of_nothing_is_an_empty_sample():
-    pooled, skipped = group_std_devs([])
+    pooled, skipped = group_std_devs(NormalizedGroups([], [], [0], [], []))
     assert skipped == 0
     assert pooled.size == 0
+    singletons = NormalizedGroups([("a",), ("b",)], [1.0] * 2, [0, 1, 2], [1.0] * 2, [1.0] * 2)
+    pooled, skipped = group_std_devs(singletons)
+    assert (pooled.size, skipped) == (0, 2)
 
 
 def test_write_normalized_samples_format():
-    groups = [
-        NormalizedSample(
-            ("milk", "north"), 2.0, np.array([0.5, 1.5]), np.array([1.0, 2.0])
-        )
-    ]
+    groups = NormalizedGroups(
+        [("milk", "north"), ("rice", "n")], [2.0, 1.0], [0, 2, 3], [0.5, 1.5, 1.0], [1.0, 2.0, 4.0]
+    )
     text = write_normalized_samples(groups)
     lines = text.strip().split("\n")
     assert lines[0] == "group_key,value,weight"
     assert lines[1] == "milk|north,0.5,1.0"
     assert lines[2] == "milk|north,1.5,2.0"
+    assert lines[3] == "rice|n,1.0,4.0"
 
 
 def test_sample_round_trip_through_text():
@@ -482,30 +540,29 @@ def test_pipeline_recovers_the_spread_law_of_synthetic_groups():
     three standard errors even with twenty thousand groups.
     """
     rng = np.random.default_rng(7)
-    n_groups, per_group = 20_000, 2_000
+    n_groups, per_group, chunk = 20_000, 2_000, 2_000
     sigma_g = 0.00245 + 0.041 * np.exp(0.245 * rng.standard_normal(n_groups))
-
-    def groups():
-        chunk = 2_000
-        for start in range(0, n_groups, chunk):
-            sig = sigma_g[start:start + chunk]
-            draws = rng.laplace(1.0, sig[:, None] / np.sqrt(2.0), (sig.size, per_group))
+    values = np.empty((n_groups, per_group))
+    mu0 = np.empty(n_groups)
+    for start in range(0, n_groups, chunk):
+        sig = sigma_g[start:start + chunk]
+        draws = values[start:start + chunk]
+        draws[:] = rng.laplace(1.0, sig[:, None] / np.sqrt(2.0), (sig.size, per_group))
+        bad = draws <= 0.0
+        while np.any(bad):
+            i, _ = np.nonzero(bad)
+            draws[bad] = rng.laplace(1.0, sig[i] / np.sqrt(2.0))
             bad = draws <= 0.0
-            while np.any(bad):
-                i, _ = np.nonzero(bad)
-                draws[bad] = rng.laplace(1.0, sig[i] / np.sqrt(2.0))
-                bad = draws <= 0.0
-            means = draws.mean(axis=1)
-            values = draws / means[:, None]
-            for j in range(sig.size):
-                yield NormalizedSample(
-                    key=(f"g{start + j}",),
-                    mu0=float(means[j]),
-                    values=values[j],
-                    weights=np.ones(per_group),
-                )
-
-    pooled, skipped = group_std_devs(groups())
+        mu0[start:start + chunk] = draws.mean(axis=1)
+        draws /= mu0[start:start + chunk, None]
+    groups = NormalizedGroups(
+        keys=[(f"g{i}",) for i in range(n_groups)],
+        mu0=mu0,
+        bounds=np.arange(0, values.size + 1, per_group),
+        values=values.reshape(-1),
+        weights=np.ones(values.size),
+    )
+    pooled, skipped = group_std_devs(groups)
     assert skipped == 0
     assert pooled.size == n_groups
     fit = fit_shifted_lognormal(pooled)

@@ -7,7 +7,8 @@ must return the same arrays, keys and bit-equal ``mu0``, or raise the same
 exception class at the same row. The inputs on which the two depart on
 purpose (numpy's number grammar) are pinned in ``DEPARTURES``. The
 size-bucketed group sums behind ``normalize_prices`` and ``group_std_devs``
-are checked bit for bit against per-slice sums and ``NormalizedSample.std``.
+are checked bit for bit against per-slice sums and ``reference_std``, the
+per-group weighted standard deviation formula kept verbatim.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dispersim.dataio import (
     GROUPINGS,
     HEADER,
     SAMPLE_HEADERS,
-    NormalizedSample,
+    NormalizedGroups,
     TransactionTable,
     _group_sums,
     group_std_devs,
@@ -138,6 +139,32 @@ def reference_load_sample(stream) -> Sample:
     )
 
 
+def reference_weighted_mean(values, weights) -> float:
+    return float((values * weights).sum() / weights.sum())
+
+
+def reference_std(values, weights) -> float:
+    """Quantity-weighted population standard deviation of the values."""
+    mean = reference_weighted_mean(values, weights)
+    var = float((weights * (values - mean) ** 2).sum() / weights.sum())
+    return math.sqrt(var)
+
+
+def _reference_group(key, mu0, values, weights):
+    """``(key, mu0, values, weights)`` under the checks of the per-group type."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-D array")
+    if weights.shape != values.shape:
+        raise ValueError("weights must match values in shape")
+    if mu0 <= 0.0:
+        raise ValueError("mu0 must be positive")
+    if (values <= 0.0).any() or (weights <= 0.0).any():
+        raise ValueError("values and weights must be positive")
+    return tuple(key), mu0, values, weights
+
+
 def reference_normalize_prices(table, grouping="good", weighted=True):
     depth = _GROUP_DEPTH[grouping]
     columns = (table.good_id, table.market_id, table.quarter)[:depth]
@@ -154,25 +181,23 @@ def reference_normalize_prices(table, grouping="good", weighted=True):
             mu0 = float(np.sum(prices * quantities) / np.sum(quantities))
         else:
             mu0 = float(np.mean(prices))
-        group = NormalizedSample(
-            key=key, mu0=mu0, values=prices / mu0, weights=quantities
-        )
-        if weighted and abs(group.weighted_mean() - 1.0) > 1e-12:
+        group = _reference_group(key, mu0, prices / mu0, quantities)
+        if weighted and abs(reference_weighted_mean(*group[2:]) - 1.0) > 1e-12:
             raise ModelError(
                 f"group {key}: weighted mean of normalized prices is "
-                f"{group.weighted_mean()!r}, not 1"
+                f"{reference_weighted_mean(*group[2:])!r}, not 1"
             )
         out.append(group)
     return out
 
 
-def reference_write_normalized_samples(samples) -> str:
+def reference_write_normalized_samples(groups) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("group_key", "value", "weight"))
-    for group in samples:
-        label = "|".join(group.key)
-        for value, weight in zip(group.values, group.weights):
+    for key, _, values, weights in groups:
+        label = "|".join(key)
+        for value, weight in zip(values, weights):
             writer.writerow([label, repr(float(value)), repr(float(weight))])
     return buffer.getvalue()
 
@@ -286,11 +311,21 @@ def _assert_same_groups(table: TransactionTable) -> None:
                     normalize_prices(table, grouping, weighted)
                 continue
             new = normalize_prices(table, grouping, weighted)
-            assert [g.key for g in new] == [g.key for g in ref]
-            for a, b in zip(new, ref):
-                assert a.mu0 == b.mu0
-                np.testing.assert_array_equal(a.values, b.values)
-                np.testing.assert_array_equal(a.weights, b.weights)
+            keys, mu0, values, weights = zip(*ref)
+            assert new.keys == keys
+            assert new.mu0.tolist() == list(mu0)
+            np.testing.assert_array_equal(new.bounds, np.cumsum([0, *map(len, values)]))
+            np.testing.assert_array_equal(new.values, np.concatenate(values))
+            np.testing.assert_array_equal(new.weights, np.concatenate(weights))
+
+
+def _columns(groups) -> NormalizedGroups:
+    """The columnar record of ``(key, mu0, values, weights)`` groups."""
+    keys, mu0, values, weights = zip(*groups) if groups else ((), (), (), ())
+    return NormalizedGroups(
+        keys, np.array(mu0, dtype=float), np.cumsum([0, *map(len, values)]),
+        np.concatenate([np.empty(0), *values]), np.concatenate([np.empty(0), *weights]),
+    )
 
 
 def _check_departure(text: str, new) -> bool:
@@ -426,8 +461,8 @@ def test_ids_differing_only_in_trailing_nul_are_distinct_groups():
     )
     new = normalize_prices(table)
     ref = reference_normalize_prices(table)
-    assert [g.key for g in new] == [g.key for g in ref] == [("a",), ("a\x00",)]
-    assert [g.mu0 for g in new] == [g.mu0 for g in ref] == [2.0, 2.0]
+    assert list(new.keys) == [key for key, *_ in ref] == [("a",), ("a\x00",)]
+    assert new.mu0.tolist() == [mu0 for _, mu0, *_ in ref] == [2.0, 2.0]
 
 
 _positive = st.floats(min_value=5e-324, max_value=1.7e308)
@@ -443,11 +478,11 @@ _positive = st.floats(min_value=5e-324, max_value=1.7e308)
 @example(groups=[((), [(1.0, 1.0)])])
 @example(groups=[(("",), [(1.0, 1.0)]), (('a"b', "c,d"), [(0.5, 2.0)])])
 def test_write_normalized_samples_matches_the_csv_writer_byte_for_byte(groups):
-    samples = [
-        NormalizedSample(key, 1.0, np.array([v for v, _ in rows]), np.array([w for _, w in rows]))
+    ref = [
+        _reference_group(key, 1.0, [v for v, _ in rows], [w for _, w in rows])
         for key, rows in groups
     ]
-    assert write_normalized_samples(samples) == reference_write_normalized_samples(samples)
+    assert write_normalized_samples(_columns(ref)) == reference_write_normalized_samples(ref)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -491,16 +526,20 @@ def test_group_sums_are_the_per_slice_sums_bit_for_bit(sizes, seed):
 
 @settings(max_examples=100)
 @given(sizes=_group_sizes, seed=st.integers(0, 2**32 - 1), integer_weights=st.booleans())
+@example(sizes=[1, 2, 1, 1, 129, 1], seed=0, integer_weights=True)
+@example(sizes=[1, 2, 1, 1, 129, 1], seed=0, integer_weights=False)
+@example(sizes=[1, 1], seed=0, integer_weights=True)
 def test_group_std_devs_are_the_per_group_std_bit_for_bit(sizes, seed, integer_weights):
     rng = np.random.default_rng(seed)
     groups = [
-        NormalizedSample(
+        _reference_group(
             (str(i),), 1.0, rng.lognormal(0.0, 0.5, n),
             rng.integers(1, 11, n).astype(float) if integer_weights else rng.uniform(0.1, 10.0, n),
         )
         for i, n in enumerate(sizes)
     ]
-    pooled, skipped = group_std_devs(group for group in groups)
+    pooled, skipped = group_std_devs(_columns(groups))
     assert skipped == sum(n < 2 for n in sizes)
-    np.testing.assert_array_equal(pooled.values, [g.std() for g in groups if g.size >= 2])
+    expected = [reference_std(v, w) for _, _, v, w in groups if v.size >= 2]
+    np.testing.assert_array_equal(pooled.values, expected)
     np.testing.assert_array_equal(pooled.weights, np.ones(len(sizes) - skipped))

@@ -129,9 +129,23 @@ def test_shift_search_needs_room_below_smallest_value():
         fit_shifted_lognormal(Sample(values), shift_bounds=(1.0, 5.0))
 
 
-def test_nonpositive_values_need_explicit_bounds():
-    with pytest.raises(EmptyFeasibleShift):
-        fit_shifted_lognormal(Sample(np.array([-0.5, 1.0, 2.0])))
+def test_nonpositive_values_leave_no_feasible_shift():
+    sample = Sample(np.array([-0.5, 1.0, 2.0]))
+    with pytest.raises(EmptyFeasibleShift, match="-0.5 is not positive, so no nonnegative shift"):
+        fit_shifted_lognormal(sample)
+    with pytest.raises(EmptyFeasibleShift, match="no shift in"):
+        fit_shifted_lognormal(sample, shift_bounds=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, -4.0), (-1.0, 0.5), (0.3, 0.1), (0.0, np.nan)])
+def test_negative_or_inverted_shift_bounds_are_refused_before_the_search(monkeypatch, bounds):
+    def no_profile(*args):
+        raise AssertionError("the shift profile was evaluated")
+
+    monkeypatch.setattr(Sample, "sorted", no_profile)
+    monkeypatch.setattr("dispersim.estimate._log_moments", no_profile)
+    with pytest.raises(ValueError, match=r"^shift bounds must satisfy 0 <= lo <= hi, got \("):
+        fit_shifted_lognormal(Sample(np.array([1.0, 2.0, 4.0])), shift_bounds=bounds)
 
 
 def test_too_few_observations_for_three_parameters():

@@ -8,7 +8,8 @@ Invariants exercised here:
   * the step loop's scratch memory grows with neither the run length nor
     the grid, and the worst depletion fraction is reported,
   * the matched closure admits an exactly stationary state whose sales
-    law, supply-demand intercept, and totals all sit still.
+    law, supply-demand intercept, and totals all sit still, and from empty
+    books its total sales converge at first order in dt to the exact ones.
 """
 
 from __future__ import annotations
@@ -256,6 +257,25 @@ def test_matched_run_keeps_totals_flat_and_intercept_at_median():
     p_star = intercept_price(curves)
     median = result.sales_histogram.median()
     assert abs(p_star - median) <= result.sales_histogram.spacing
+
+
+@pytest.mark.parametrize("rate, eta, horizon", [(100.0, 0.1, 2.0), (200.0, 1.0, 1.0)])
+def test_matched_sales_from_empty_books_converge_to_the_exact_solution(rate, eta, horizon):
+    # Equal rates and empty books keep x = z in every bin, so x' = a - eta * x**2
+    # gives x(t) = sqrt(a / eta) * tanh(sqrt(a * eta) * t), and the bin has
+    # sold a * t - x(t) by time t. The explicit scheme is first order in dt.
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(rate, rate, 1.0, 0.2, shape="matched")
+    a = rate * inflow.bin_weights(grid)[0]
+    exact = np.sum(a * horizon - np.sqrt(a / eta) * np.tanh(np.sqrt(a * eta) * horizon))
+    start = initial_state(grid, eta, inflow)
+    errors = [
+        abs(run(start, inflow, dt, horizon).event_count - exact) / exact
+        for dt in (0.1, 0.05, 0.025)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+    assert errors[-1] < 1e-2
 
 
 def test_monotone_inflows_from_empty_build_two_sided_exponential_sales():
