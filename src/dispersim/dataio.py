@@ -310,8 +310,9 @@ def normalize_prices(
     weighted one its value is ``p / ((p * q) / q)``, whose three roundings
     keep it within ``1.5 * eps`` of 1 but not always at 1. A group whose
     plain sums overflow (or whose products all underflow) is averaged
-    after dividing its prices and quantities by their largest values;
-    every other group keeps the plain sums' bits.
+    after dividing its prices and quantities by their largest values, and
+    so is its weighted mean of normalized prices; every other group keeps
+    the plain sums' bits.
 
     Raises
     ------
@@ -321,9 +322,10 @@ def normalize_prices(
         If ``grouping`` is not one of ``GROUPINGS``.
     ModelError
         If a group's normalized prices underflow to 0 or overflow, or its
-        quantity-weighted mean under the weighted convention misses 1 by
-        more than 1e-12. The first such group in key order is named, and
-        within it the first of these checks that fails, in that order.
+        quantity-weighted mean under the weighted convention is not finite
+        or misses 1 by more than 1e-12. The first such group in key order
+        is named, and within it the first of these checks that fails, in
+        that order.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
@@ -362,7 +364,10 @@ def normalize_prices(
         failing = underflows | overflows
         if weighted:
             means = _group_sums(values * quantities, bounds) / totals
-            failing |= np.abs(means - 1.0) > 1e-12
+            for i in np.flatnonzero(~((totals < math.inf) & np.isfinite(means))).tolist():
+                lo, hi = bounds[i], bounds[i + 1]
+                means[i] = _rescaled_mean_price(values[lo:hi], quantities[lo:hi], True)
+            failing |= ~(np.abs(means - 1.0) <= 1e-12)  # NaN fails too
     if failing.any():
         i = int(np.argmax(failing))  # the first failing group in key order
         if underflows[i]:
@@ -416,25 +421,54 @@ def _rescaled_mean_price(prices: np.ndarray, quantities: np.ndarray, weighted: b
     return float(mean * top)
 
 
+def _rescaled_std(values: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted spread of a group whose weight sums leave the float range.
+
+    Dividing the weights by their largest keeps their sums in range; the
+    weight scale cancels in the weighted mean and spread.
+    """
+    scaled = weights / weights.max()
+    total = np.sum(scaled)
+    mean = np.sum(values * scaled) / total
+    return float(np.sqrt(np.sum(scaled * (values - mean) ** 2) / total))
+
+
 def group_std_devs(groups: NormalizedGroups) -> tuple[Sample, int]:
     """One spread statistic per group, pooled for the lognormal fit.
 
     Each group with at least two transactions contributes its
     quantity-weighted population standard deviation of normalized prices,
     each sum in it bit for bit that of the group's slice alone; smaller
-    groups carry no spread information and are skipped. Returns the pooled
+    groups carry no spread information and are skipped. A group whose
+    weight sums leave the float range is redone with its weights divided
+    by their largest, since the weight scale cancels. Returns the pooled
     unit-weight sample and the skipped-group count.
+
+    Raises
+    ------
+    ModelError
+        If a group's spread is still not finite, naming the first such
+        group in key order.
     """
     bounds, values, weights = groups.bounds, groups.values, groups.weights
     sizes = np.diff(bounds)
     spread = sizes >= 2
     if not spread.any():
         return Sample(values=np.empty(0)), len(groups)
-    totals = _group_sums(weights, bounds)
-    means = _group_sums(values * weights, bounds) / totals
-    squares = weights * (values - np.repeat(means, sizes)) ** 2
-    stds = np.sqrt(_group_sums(squares, bounds)[spread] / totals[spread])
-    return Sample(values=stds), len(groups) - stds.size
+    # sums out of range are redone on rescaled weights and refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = _group_sums(weights, bounds)
+        means = _group_sums(values * weights, bounds) / totals
+        squares = weights * (values - np.repeat(means, sizes)) ** 2
+        stds = np.sqrt(_group_sums(squares, bounds) / totals)
+        redo = spread & ~((totals < math.inf) & np.isfinite(stds))
+        for i in np.flatnonzero(redo).tolist():
+            lo, hi = bounds[i], bounds[i + 1]
+            stds[i] = _rescaled_std(values[lo:hi], weights[lo:hi])
+            if not np.isfinite(stds[i]):
+                raise ModelError(f"group {groups.keys[i]}: weighted spread of normalized "
+                                 f"prices is {float(stds[i])!r}, not finite")
+    return Sample(values=stds[spread]), len(groups) - int(spread.sum())
 
 
 def write_normalized_samples(groups: NormalizedGroups) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, ZeroMass
-from .grids import GriddedDistribution, cumulative_trapezoid
+from .grids import GriddedDistribution, checked_grid, cumulative_trapezoid
 
 __all__ = ["FixedPointResult", "fixed_point_map", "fixed_point_solve"]
 
@@ -39,7 +39,7 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     The output integrates to one (trapezoid rule) by construction; a
     density with no mass to map raises :class:`~dispersim.errors.ZeroMass`.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = checked_grid(grid)
     density = np.asarray(density, dtype=float)
     return _map_cumulative(grid, cumulative_trapezoid(density, grid))
 
@@ -58,10 +58,6 @@ def _seed_density(grid: np.ndarray, init) -> np.ndarray:
     if init is None:
         span = float(grid[-1] - grid[0])
         return np.full(grid.shape, 1.0 / span)
-    if isinstance(init, GriddedDistribution):
-        if init.grid.shape != grid.shape or not np.array_equal(init.grid, grid):
-            raise ValueError("init is defined on a different grid")
-        return init.density.copy()
     density = np.asarray(init, dtype=float)
     if density.shape != grid.shape:
         raise ValueError("init density shape does not match grid")
@@ -80,9 +76,9 @@ def fixed_point_solve(
 ) -> FixedPointResult:
     """Iterate the map until successive iterates agree within ``tol``.
 
-    ``init`` may be a :class:`GriddedDistribution` on the same grid, a raw
-    density array, or ``None`` for a uniform start.  Seed densities are used
-    as given; they are not renormalised.
+    ``init`` is a density array on ``grid`` (a :class:`GriddedDistribution`
+    seed passes its ``density``), or ``None`` for a uniform start.  Seed
+    densities are used as given; they are not renormalised.
 
     The stopping gap is the sup-norm distance between successive
     cumulatives, the Kolmogorov-Smirnov distance between successive
@@ -99,9 +95,9 @@ def fixed_point_solve(
         If ``max_iter`` iterations pass without the gap falling below
         ``tol``; ``last_gap`` carries the final gap.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise ValueError("grid must be 1-D with at least 3 points")
+    grid = checked_grid(grid)
+    if grid.size < 3:
+        raise ValueError("grid must have at least 3 points")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
@@ -116,11 +112,7 @@ def fixed_point_solve(
         gap = float(np.max(np.abs(new_cum - cum)))
         density, cum = new, new_cum
         if gap < tol:
-            dist = GriddedDistribution(
-                grid=grid.copy(),
-                density=density,
-                cumulative=np.clip(new_cum / new_cum[-1], 0.0, 1.0),
-            )
+            dist = GriddedDistribution(grid.copy(), density)
             return FixedPointResult(distribution=dist, n_iterations=iteration, gap=gap)
     raise NonConvergence(
         f"no fixed point within {max_iter} iterations", last_gap=float(gap)

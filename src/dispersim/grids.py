@@ -2,14 +2,15 @@
 
 All continuum quantities in the model (sales dispersion, demand/supply
 dispersions) are represented on a uniform price grid and integrated with the
-trapezoidal rule, in numpy alone. A :class:`GriddedDistribution` bundles the
-grid, the density values, and the cumulative values, and enforces the
-normalization invariants on construction.
+trapezoidal rule, in numpy alone. A :class:`GriddedDistribution` holds the
+grid and the density values, checks the normalization invariants on
+construction, and derives its cumulative from the density on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,59 +45,56 @@ def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; ``ValueError`` unless 1-D and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points")
+    return grid
+
+
 @dataclass(frozen=True)
 class GriddedDistribution:
-    """A probability density and its cumulative on a strictly increasing grid.
+    """A probability density on a strictly increasing grid.
 
     Invariants (checked on construction):
       * grid strictly increasing,
-      * density and cumulative finite,
-      * density nonnegative with trapezoidal integral 1 within 1e-9,
-      * cumulative nondecreasing from 0 to 1 within 1e-9.
+      * density finite and nonnegative with trapezoidal integral 1 within 1e-9.
 
-    Instances are treated as immutable values; do not mutate the arrays.
+    The cumulative is derived from the density on first use. Instances are
+    treated as immutable values; do not mutate the arrays.
     """
 
     grid: np.ndarray
     density: np.ndarray
-    cumulative: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = checked_grid(self.grid)
         density = np.asarray(self.density, dtype=float)
-        cumulative = np.asarray(self.cumulative, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "cumulative", cumulative)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-D with at least 2 points")
-        if density.shape != grid.shape or cumulative.shape != grid.shape:
-            raise ValueError("density and cumulative must match the grid shape")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if not (np.all(np.isfinite(density)) and np.all(np.isfinite(cumulative))):
-            raise ValueError("density and cumulative must be finite")
+        if density.shape != grid.shape:
+            raise ValueError("density must match the grid shape")
+        if not np.all(np.isfinite(density)):
+            raise ValueError("density must be finite")
         if np.any(density < -NORMALIZATION_TOL):
             raise ValueError("density has negative values")
         total = trapezoid(density, grid)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density integrates to {total!r}, expected 1")
-        if np.any(np.diff(cumulative) < -NORMALIZATION_TOL):
-            raise ValueError("cumulative must be nondecreasing")
-        if abs(cumulative[0]) > NORMALIZATION_TOL or abs(cumulative[-1] - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("cumulative must run from 0 to 1")
 
     @classmethod
     def from_density(cls, grid, density) -> "GriddedDistribution":
-        """Normalize raw density values and attach the trapezoidal cumulative.
+        """Normalize raw density values to unit trapezoidal mass.
 
-        A density whose plain total underflows to 0 or overflows is divided
+        The grid is checked first, with the constructor's ``ValueError``. A
+        density whose plain total underflows to 0 or overflows is divided
         by its largest value first. Raises :class:`~dispersim.errors.ModelError`
         if a value or the total is not finite, and its subclass
         :class:`~dispersim.errors.ZeroMass` if the clipped density
         integrates to zero.
         """
-        grid = np.asarray(grid, dtype=float)
+        grid = checked_grid(grid)
         density = np.asarray(density, dtype=float)
         if density.shape != grid.shape:
             raise ValueError("density must match the grid shape")
@@ -114,11 +112,14 @@ class GriddedDistribution:
             raise ModelError(f"density total {total!r} is not finite")
         if total <= 0.0:
             raise ZeroMass("density has zero total mass")
-        density = density / total
-        cumulative = cumulative_trapezoid(density, grid)
+        return cls(grid, density / total)
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Trapezoidal cumulative of the density, from 0 to exactly 1."""
+        cumulative = cumulative_trapezoid(self.density, self.grid)
         # Guard against roundoff pushing the last node off 1.
-        cumulative = np.clip(cumulative / cumulative[-1], 0.0, 1.0)
-        return cls(grid=grid, density=density, cumulative=cumulative)
+        return np.clip(cumulative / cumulative[-1], 0.0, 1.0)
 
     @property
     def spacing(self) -> float:

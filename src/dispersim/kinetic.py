@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
-from .grids import GriddedDistribution, trapezoid
+from .grids import GriddedDistribution, checked_grid, trapezoid
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
 #: Largest admissible per-bin depletion fraction per step.
@@ -58,14 +58,12 @@ class MarketState:
     cap_hits: int = 0
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = checked_grid(self.grid)
         x_bins = np.asarray(self.x_bins, dtype=float)
         z_bins = np.asarray(self.z_bins, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "x_bins", x_bins)
         object.__setattr__(self, "z_bins", z_bins)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points")
         if x_bins.shape != grid.shape or z_bins.shape != grid.shape:
             raise ValueError("stock arrays must match the grid shape")
         if np.any(x_bins < 0.0) or np.any(z_bins < 0.0):

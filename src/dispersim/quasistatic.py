@@ -20,39 +20,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntercept, ZeroSalesVolume
-from .grids import GriddedDistribution, trapezoid
+from .grids import GriddedDistribution, checked_grid, trapezoid
 
 #: Overlap integrals below this are treated as no market at all.
 OVERLAP_FLOOR = 1e-12
 
 
-def _as_cumulative(book, grid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (grid, cumulative) from a distribution or a raw array."""
-    if isinstance(book, GriddedDistribution):
-        return book.grid, book.cumulative
-    cum = np.asarray(book, dtype=float)
-    if grid is None:
-        raise ValueError("raw cumulative arrays need an explicit grid")
-    grid = np.asarray(grid, dtype=float)
+def _checked_cumulative(cum, grid: np.ndarray) -> np.ndarray:
+    """``cum`` as a float array; ``ValueError`` unless a cumulative on ``grid``."""
+    cum = np.asarray(cum, dtype=float)
     if cum.shape != grid.shape:
         raise ValueError("cumulative must match the grid shape")
     if not np.all(np.isfinite(cum)):
         raise ValueError("cumulative must be finite")
     if np.any(np.diff(cum) < -1e-12) or np.any(cum < -1e-12) or np.any(cum > 1 + 1e-12):
         raise ValueError("cumulative must be nondecreasing within [0, 1]")
-    return grid, cum
+    return cum
 
 
 def quasi_static_density(
-    supply_book, demand_book, grid=None
+    supply_cumulative, demand_cumulative, grid
 ) -> tuple[GriddedDistribution, float]:
     """Sales price law and dispersion scale from the two order books.
 
-    ``supply_book`` (F_z) and ``demand_book`` (F_x) are either
-    :class:`GriddedDistribution` instances on the same grid or raw
-    cumulative arrays paired with an explicit ``grid``; raw arrays admit
-    degenerate books, such as an everywhere-saturated cumulative, that the
-    distribution type rejects.
+    ``supply_cumulative`` (F_z) and ``demand_cumulative`` (F_x) are raw
+    cumulative arrays on ``grid``; a :class:`GriddedDistribution` book
+    passes its ``cumulative``. Degenerate books, such as an
+    everywhere-saturated cumulative, are admitted.
 
     Returns the normalized sales law together with ``sigma_norm``, the
     trapezoidal integral of ``F_z * (1 - F_x)``.
@@ -63,18 +57,17 @@ def quasi_static_density(
         If the overlap integral falls below 1e-12, meaning no price has
         both willing buyers and willing sellers.
     """
-    grid_z, cum_z = _as_cumulative(supply_book, grid)
-    grid_x, cum_x = _as_cumulative(demand_book, grid)
-    if not np.array_equal(grid_z, grid_x):
-        raise ValueError("demand and supply books must share one grid")
+    grid = checked_grid(grid)
+    cum_z = _checked_cumulative(supply_cumulative, grid)
+    cum_x = _checked_cumulative(demand_cumulative, grid)
     overlap = cum_z * (1.0 - cum_x)
-    sigma_norm = trapezoid(overlap, grid_z)
+    sigma_norm = trapezoid(overlap, grid)
     if sigma_norm < OVERLAP_FLOOR:
         raise ZeroSalesVolume(
             f"overlap integral {sigma_norm:.3e} is below {OVERLAP_FLOOR:.0e}; "
             "demand and supply do not coexist at any price"
         )
-    dist = GriddedDistribution.from_density(grid_z, overlap)
+    dist = GriddedDistribution.from_density(grid, overlap)
     return dist, sigma_norm
 
 
@@ -92,41 +85,31 @@ class SupplyDemandCurves:
     """Outstanding demand and supply as functions of price.
 
     ``x_units`` counts demanded units still willing to buy at each price or
-    above, so it starts at ``x_total`` and never increases. ``z_units``
-    counts supplied units offered at each price or below, so it never
-    decreases and approaches ``z_total``.
+    above, so it never increases; its first value is the demand total.
+    ``z_units`` counts supplied units offered at each price or below, so it
+    never decreases; its last value is the supply total.
     """
 
     grid: np.ndarray
     x_units: np.ndarray
     z_units: np.ndarray
-    x_total: float
-    z_total: float
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = checked_grid(self.grid)
         x_units = np.asarray(self.x_units, dtype=float)
         z_units = np.asarray(self.z_units, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "x_units", x_units)
         object.__setattr__(self, "z_units", z_units)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be 1-D strictly increasing with >= 2 points")
         if x_units.shape != grid.shape or z_units.shape != grid.shape:
             raise ValueError("curves must match the grid shape")
-        if np.any(x_units < 0.0) or np.any(z_units < 0.0):
-            raise ValueError("curve values must be nonnegative")
-        if self.x_total < 0.0 or self.z_total < 0.0:
-            raise ValueError("totals must be nonnegative")
-        slack = 1e-9 * max(self.x_total, self.z_total, 1.0)
+        if not all(np.all((0.0 <= u) & (u < np.inf)) for u in (x_units, z_units)):
+            raise ValueError("curve values must be nonnegative and finite")
+        slack = 1e-9 * max(x_units[0], z_units[-1], 1.0)
         if np.any(np.diff(x_units) > slack):
             raise ValueError("x_units must be nonincreasing in price")
         if np.any(np.diff(z_units) < -slack):
             raise ValueError("z_units must be nondecreasing in price")
-        if abs(x_units[0] - self.x_total) > slack:
-            raise ValueError("x_units must start at x_total at the lowest price")
-        if np.any(z_units > self.z_total + slack):
-            raise ValueError("z_units must stay at or below z_total")
 
     @classmethod
     def from_books(
@@ -134,16 +117,9 @@ class SupplyDemandCurves:
         x_total: float = 1.0, z_total: float = 1.0,
     ) -> "SupplyDemandCurves":
         """Curves ``x_total * (1 - F_x)`` and ``z_total * F_z`` on one grid."""
-        grid = np.asarray(grid, dtype=float)
         f_x = np.asarray(demand_cumulative, dtype=float)
         f_z = np.asarray(supply_cumulative, dtype=float)
-        return cls(
-            grid=grid,
-            x_units=x_total * (1.0 - f_x),
-            z_units=z_total * f_z,
-            x_total=x_total,
-            z_total=z_total,
-        )
+        return cls(grid=grid, x_units=x_total * (1.0 - f_x), z_units=z_total * f_z)
 
     @classmethod
     def from_bin_stocks(cls, grid, x_bins, z_bins) -> "SupplyDemandCurves":
@@ -155,13 +131,8 @@ class SupplyDemandCurves:
         bins.
         """
         x_bins = np.asarray(x_bins, dtype=float)
-        z_bins = np.asarray(z_bins, dtype=float)
-        x_total = float(x_bins.sum())
-        z_total = float(z_bins.sum())
-        x_units = x_total - np.concatenate(([0.0], np.cumsum(x_bins)[:-1]))
-        z_units = np.cumsum(z_bins)
-        return cls(grid=np.asarray(grid, dtype=float), x_units=x_units,
-                   z_units=z_units, x_total=x_total, z_total=z_total)
+        x_units = float(x_bins.sum()) - np.concatenate(([0.0], np.cumsum(x_bins)[:-1]))
+        return cls(grid=grid, x_units=x_units, z_units=np.cumsum(z_bins, dtype=float))
 
 
 def intercept_price(curves: SupplyDemandCurves) -> float:

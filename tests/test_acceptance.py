@@ -60,7 +60,7 @@ def test_criterion_2_uniform_books_give_exact_parabola():
     grid = uniform_grid(0.0, 1.0, 20001)
     ask = GriddedDistribution.from_density(grid, np.ones(grid.size))
     bid = GriddedDistribution.from_density(grid, np.ones(grid.size))
-    dist, sigma_norm = quasi_static_density(ask, bid)
+    dist, sigma_norm = quasi_static_density(ask.cumulative, bid.cumulative, grid)
     assert abs(sigma_norm - 1.0 / 6.0) <= 1e-9
     assert np.max(np.abs(dist.density - 6.0 * grid * (1.0 - grid))) <= 1e-6
 

@@ -666,6 +666,40 @@ def test_normalize_overflowing_group_exits_2_and_leaves_out_untouched(tmp_path, 
     assert _dir_bytes(out) == before
 
 
+@pytest.mark.parametrize("weighted", ["true", "false"])
+def test_normalize_groups_whose_weight_sums_overflow_exit_0_or_2_without_warnings(
+        tmp_path, weighted):
+    header = "good_id,market_id,quarter,price,quantity\n"
+    good = _write(tmp_path, "good.csv", header + "milk,a,q,1.0,2\nmilk,b,q,3.0,1\n")
+    cases = [
+        # quantity totals overflow: the weights are rescaled, the spread is 1/3
+        (header + "milk,a,q,1,1e308\nmilk,b,q,2,1e308\n", 0, "0.3333333333333333"),
+        # weighted mu0 is about 1, so the squared deviation of 1e200 overflows
+        (header + "milk,a,q,1,1e300\nmilk,b,q,1e200,1\n",
+         2 if weighted == "true" else 0, "2e-150"),
+    ]
+    for n, (rows, expected, spread) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        cfg = f"normalize.input = {good}\nnormalize.weighted = {weighted}\n"
+        assert main(["normalize", str(_write(tmp_path, "good.cfg", cfg)), "--out", str(out)]) == 0
+        before = _dir_bytes(out)
+        cfg = cfg.replace(str(good), str(_write(tmp_path, f"t{n}.csv", rows)))
+        # a child interpreter that turns every warning into an error
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dispersim", "normalize",
+             str(_write(tmp_path, f"t{n}.cfg", cfg)), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == expected
+        if expected == 0:
+            assert done.stderr == ""
+            assert (out / "group_stds.csv").read_text() == f"value\n{spread}\n"
+        else:
+            assert done.stderr == ("dispersim: error: group ('milk',): weighted spread "
+                                   "of normalized prices is inf, not finite\n")
+            assert _dir_bytes(out) == before
+
+
 def test_normalize_rejects_unknown_grouping(tmp_path, capsys):
     data_path = _write(
         tmp_path, "t.csv",

@@ -306,6 +306,48 @@ def test_normalize_rescales_a_group_whose_sums_overflow():
     assert tiny.values.tolist() == [1.0]
 
 
+def test_normalize_rescales_the_mean_check_of_a_group_whose_quantities_overflow():
+    # the quantity total is inf, so the plain weighted mean is inf / inf = nan
+    table = _table(
+        f"{HEADER_LINE}\n"
+        "milk,a,q,1,1e308\n"
+        "milk,b,q,2,1e308\n"
+        "rice,a,q,1,2\n"
+        "rice,b,q,3,1\n"
+    )
+    reference = normalize_prices(_table(f"{HEADER_LINE}\nrice,a,q,1,2\nrice,b,q,3,1\n"))
+    for weighted in (True, False):
+        groups = normalize_prices(table, weighted=weighted)
+        assert groups.mu0[0] == 1.5
+        np.testing.assert_allclose(groups.values[:2], [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+        pooled, skipped = group_std_devs(groups)
+        assert skipped == 0
+        assert pooled.values[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # the other group keeps its bits
+    weighted = normalize_prices(table)
+    assert weighted.values[2:].tobytes() == reference.values.tobytes()
+    assert group_std_devs(weighted)[0].values[1:].tobytes() == \
+        group_std_devs(reference)[0].values.tobytes()
+
+
+def test_normalize_refuses_a_group_whose_weighted_mean_is_not_finite(monkeypatch):
+    import dispersim.dataio as dataio
+
+    # a mean that stays NaN after rescaling must not pass the 1e-12 check;
+    # the first call rescales mu0, the second the mean of normalized prices
+    real, calls = dataio._rescaled_mean_price, []
+
+    def nan_on_second_call(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else float("nan")
+
+    monkeypatch.setattr(dataio, "_rescaled_mean_price", nan_on_second_call)
+    table = _table(f"{HEADER_LINE}\nmilk,a,q,1,1e308\nmilk,b,q,2,1e308\n")
+    with pytest.raises(ModelError, match=r"group \('milk',\): weighted mean .* is nan, not 1"):
+        normalize_prices(table)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("weighted", [True, False])
 def test_normalize_refuses_a_group_whose_normalized_prices_underflow(weighted):
     # mu0 is about 5e299, so 1e-300 / mu0 is 0 in float64
@@ -405,6 +447,26 @@ def test_group_std_devs_pools_and_skips_singletons():
     # weighted mean 0.75; weighted second moment (3*0.0625 + 1*0.5625)/4
     heavy, _ = group_std_devs(NormalizedGroups([("a",)], [2.0], [0, 2], [0.5, 1.5], [3.0, 1.0]))
     assert heavy.values[0] == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-12)
+
+
+def test_group_std_devs_rescale_weights_whose_sums_overflow_and_refuse_what_stays_infinite():
+    # in group d only the weight total overflows: the plain spread is a finite 0
+    groups = NormalizedGroups(
+        [("a",), ("b",), ("c",), ("d",)], [1.0] * 4, [0, 2, 3, 5, 7],
+        [0.5, 1.5, 1.0, 0.9, 1.1, 0.5, 0.1], [1e308, 1e308, 1e308, 1.0, 1.0, 1e308, 1e308],
+    )
+    pooled, skipped = group_std_devs(groups)
+    assert skipped == 1
+    assert pooled.values[0] == 0.5
+    assert pooled.values[2] == pytest.approx(0.2, rel=1e-15)
+    plain, _ = group_std_devs(NormalizedGroups([("c",)], [1.0], [0, 2], [0.9, 1.1], [1.0, 1.0]))
+    assert pooled.values[1:2].tobytes() == plain.values.tobytes()
+    # a squared deviation that overflows stays infinite whatever the weights
+    wide = NormalizedGroups(
+        [("a",), ("b",)], [1.0] * 2, [0, 2, 4], [0.5, 1.5, 1.0, 1e200], [1.0] * 4
+    )
+    with pytest.raises(ModelError, match=r"group \('b',\): weighted spread .* is inf"):
+        group_std_devs(wide)
 
 
 def test_group_std_devs_of_nothing_is_an_empty_sample():

@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from dispersim.errors import NonConvergence, ZeroMass
 from dispersim.estimate import fit_laplace
 from dispersim.fixedpoint import FixedPointResult, fixed_point_map, fixed_point_solve
-from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
+from dispersim.grids import trapezoid, uniform_grid
 from dispersim.laws import LaplaceParams, laplace_density
 from dispersim.samples import Sample
 
@@ -32,6 +32,9 @@ def test_map_rejects_zero_mass():
     grid = uniform_grid(0.0, 1.0, 11)
     with pytest.raises(ZeroMass, match="no mass on the grid"):
         fixed_point_map(grid, np.zeros(11))
+    # a decreasing grid is a wrong argument, not a density without mass
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fixed_point_map(grid[::-1].copy(), np.ones(11))
 
 
 def test_two_sided_exponential_maps_almost_onto_itself():
@@ -79,10 +82,21 @@ def test_solver_iterates_are_the_public_map_applied_repeatedly():
     np.testing.assert_array_equal(result.distribution.density, density)
 
 
+def test_solution_cumulative_is_bitwise_the_normalized_running_integral():
+    grid = uniform_grid(0.0, 2.0, 401)
+    result = fixed_point_solve(grid, tol=1e-2)
+    density = np.full(grid.shape, 0.5)
+    for _ in range(result.n_iterations):
+        density = fixed_point_map(grid, density)
+    cum = cumulative_trapezoid(density, grid, initial=0.0)
+    expected = np.clip(cum / cum[-1], 0.0, 1.0)
+    assert result.distribution.cumulative.tobytes() == expected.tobytes()
+
+
 def test_resolving_from_a_solution_barely_moves():
     grid = uniform_grid(0.0, 2.0, 2001)
     first = fixed_point_solve(grid, tol=1e-2)
-    again = fixed_point_solve(grid, init=first.distribution, tol=1e-2)
+    again = fixed_point_solve(grid, init=first.distribution.density, tol=1e-2)
     assert again.n_iterations == 1
     gap = np.max(
         np.abs(again.distribution.cumulative - first.distribution.cumulative)
@@ -109,6 +123,9 @@ def test_solver_validates_arguments():
     grid = uniform_grid(0.0, 2.0, 101)
     with pytest.raises(ValueError):
         fixed_point_solve(np.array([0.0, 1.0]), tol=1e-2)
+    # a decreasing grid is a wrong argument, not a density without mass
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fixed_point_solve(grid[::-1].copy(), tol=1e-2)
     with pytest.raises(ValueError):
         fixed_point_solve(grid, tol=0.0)
     with pytest.raises(ValueError):
@@ -117,10 +134,6 @@ def test_solver_validates_arguments():
         fixed_point_solve(grid, init=np.ones(100))
     with pytest.raises(ValueError):
         fixed_point_solve(grid, init=-np.ones(101))
-    other = uniform_grid(0.0, 1.0, 101)
-    dist = GriddedDistribution.from_density(other, np.ones(101))
-    with pytest.raises(ValueError):
-        fixed_point_solve(grid, init=dist)
 
 
 def test_solution_distribution_satisfies_distribution_invariants():

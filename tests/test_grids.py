@@ -3,6 +3,8 @@
 Invariants exercised here:
   * from_density always yields a unit-mass density and a cumulative that
     runs from 0 to 1 without ever decreasing,
+  * the cumulative is derived from the density bit for bit as it was when
+    it was stored beside it,
   * quantile is the inverse of the cumulative wherever both are defined,
   * cumulative_trapezoid returns scipy's bits without importing scipy.
 
@@ -25,6 +27,7 @@ from dispersim.grids import (
     trapezoid,
     uniform_grid,
 )
+from dispersim.kinetic import InflowSpec, initial_state, run
 
 
 def test_uniform_grid_endpoints_and_spacing():
@@ -94,36 +97,64 @@ def test_from_density_rescales_a_total_that_overflows():
         GriddedDistribution.from_density(np.array([-1.5e308, 0.0, 1.5e308]), np.ones(3))
 
 
+def test_from_density_refuses_a_decreasing_grid_before_integrating():
+    # the trapezoid over a decreasing grid is negative; it must not pass for
+    # a density of zero mass (a model refusal) when the grid itself is wrong
+    with pytest.raises(ValueError, match="strictly increasing") as exc:
+        GriddedDistribution.from_density(np.array([1.0, 0.5, 0.0]), np.ones(3))
+    assert not isinstance(exc.value, ModelError)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GriddedDistribution.from_density(np.array([0.0, 0.5, 0.5]), np.ones(3))
+
+
+def _stored_cumulative(grid, raw):
+    """The cumulative ``from_density`` used to store, from the raw density."""
+    density = np.clip(np.asarray(raw, dtype=float), 0.0, None)
+    with np.errstate(over="ignore"):
+        total = trapezoid(density, grid)
+        if not 0.0 < total < np.inf:
+            density = density / np.max(density)
+            total = trapezoid(density, grid)
+    cumulative = scipy_cumulative_trapezoid(density / total, grid, initial=0.0)
+    return np.clip(cumulative / cumulative[-1], 0.0, 1.0)
+
+
+def _sales_of_a_short_kinetic_run():
+    grid = uniform_grid(0.0, 2.0, 201)
+    inflow = InflowSpec(10.0, 10.0, 1.0, 0.2, shape="monotone")
+    result = run(initial_state(grid, 0.5, inflow, 5.0, 5.0), inflow, dt=0.1, horizon=5.0)
+    return grid, result.final_state.cumulative_sales, result.sales_histogram
+
+
+@pytest.mark.parametrize("case", ["flat", "overflow-rescaled", "kinetic-sales"])
+def test_derived_cumulative_is_bitwise_the_formerly_stored_one(case):
+    if case == "kinetic-sales":
+        grid, raw, dist = _sales_of_a_short_kinetic_run()
+    else:
+        grid = uniform_grid(0.0, 1.0, 101)
+        raw = np.full(101, 7.0 if case == "flat" else 1e308)
+        dist = GriddedDistribution.from_density(grid, raw)
+    expected = _stored_cumulative(grid, raw)
+    assert dist.cumulative.tobytes() == expected.tobytes()
+    assert dist.cumulative is dist.cumulative  # derived once, then cached
+
+
 def test_constructor_rejects_unsorted_grid():
     grid = np.array([0.0, 0.5, 0.4, 1.0])
-    dens = np.ones(4)
-    cum = np.array([0.0, 0.5, 0.6, 1.0])
     with pytest.raises(ValueError):
-        GriddedDistribution(grid, dens, cum)
+        GriddedDistribution(grid, np.ones(4))
 
 
 def test_constructor_rejects_unnormalized_density():
     grid = uniform_grid(0.0, 1.0, 3)
-    dens = np.full(3, 2.0)
-    cum = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
-        GriddedDistribution(grid, dens, cum)
-
-
-def test_constructor_rejects_decreasing_cumulative():
-    grid = uniform_grid(0.0, 1.0, 3)
-    dens = np.ones(3)
-    cum = np.array([0.0, 0.7, 0.6])
-    with pytest.raises(ValueError):
-        GriddedDistribution(grid, dens, cum)
+        GriddedDistribution(grid, np.full(3, 2.0))
 
 
 def test_constructor_rejects_non_finite_values():
     grid = uniform_grid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="finite"):
-        GriddedDistribution(grid, np.array([1.0, np.nan, 1.0]), np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="finite"):
-        GriddedDistribution(grid, np.ones(3), np.array([0.0, np.nan, 1.0]))
+        GriddedDistribution(grid, np.array([1.0, np.nan, 1.0]))
 
 
 def test_uniform_distribution_quantiles_are_linear():
