@@ -18,9 +18,17 @@ contiguous slice of the columns of one result, which the spread statistics
 and the writer read in place. Per-group sums are taken by size bucket: the
 groups of one size are gathered into one ``(groups, size)`` array and
 summed along its rows. numpy sums a contiguous row by the same pairwise
-summation as a contiguous slice of that length, so every sum, and every
-mean and spread built from them, keeps the bits of the per-group loop,
-with a few numpy calls per distinct group size instead of per group.
+summation as a contiguous slice of that length, so every sum keeps the
+bits of the per-group loop, with a few numpy calls per distinct group size
+instead of per group. Means and spreads are taken on columns scaled per
+group by a power of two, which puts the group's largest entry in
+``[0.5, 1)``, and scaled back with ``np.ldexp``: no sum can overflow, and
+a product that would lose bits as a subnormal number keeps them. Scaling
+by a power of two is exact and commutes with rounding while results stay
+normal, so wherever every plain and scaled product and partial sum is a
+normal number (prices and quantities each spanning less than about 150
+decades in a group), each mean and spread has the bits of the plain
+per-group formula.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ GROUPINGS = ("good", "good+market", "good+market+quarter")
 _GROUP_DEPTH = {"good": 1, "good+market": 2, "good+market+quarter": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransactionTable:
     """Columnar transaction records.
 
@@ -89,7 +97,7 @@ class TransactionTable:
         return int(self.good_id.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedGroups:
     """Normalized prices of every group, in columns.
 
@@ -308,11 +316,10 @@ def normalize_prices(
     each keeping its rows in table order. A single-transaction group
     normalizes to 1 exactly under the unweighted convention; under the
     weighted one its value is ``p / ((p * q) / q)``, whose three roundings
-    keep it within ``1.5 * eps`` of 1 but not always at 1. A group whose
-    plain sums overflow (or whose products all underflow) is averaged
-    after dividing its prices and quantities by their largest values, and
-    so is its weighted mean of normalized prices; every other group keeps
-    the plain sums' bits.
+    keep it within ``1.5 * eps`` of 1 but not always at 1. The sums behind
+    ``mu0`` and the weighted mean of normalized prices are taken on prices
+    and quantities scaled per group by a power of two (see the module
+    notes), so none overflows.
 
     Raises
     ------
@@ -348,25 +355,21 @@ def normalize_prices(
     # division is monotone: a group's values run from low / mu0 to high / mu0
     lows = np.minimum.reduceat(prices, bounds[:-1])
     highs = np.maximum.reduceat(prices, bounds[:-1])
-    # sums out of range are rescaled and quotients out of range refused below
+    scaled, exponents = _unit_scaled(prices, bounds, sizes)
+    # quotients out of range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if weighted:
-            totals = _group_sums(quantities, bounds)
-            mu0 = _group_sums(prices * quantities, bounds) / totals
+            scaled_quantities, _ = _unit_scaled(quantities, bounds, sizes)
+            totals = _group_sums(scaled_quantities, bounds)
+            mu0 = np.ldexp(_group_sums(scaled * scaled_quantities, bounds) / totals, exponents)
         else:
-            mu0 = _group_sums(prices, bounds) / sizes
-        for i in np.flatnonzero(~((0.0 < mu0) & (mu0 < math.inf))).tolist():
-            lo, hi = bounds[i], bounds[i + 1]
-            mu0[i] = _rescaled_mean_price(prices[lo:hi], quantities[lo:hi], weighted)
+            mu0 = np.ldexp(_group_sums(scaled, bounds) / sizes, exponents)
         values = prices / np.repeat(mu0, sizes)
         underflows = lows / mu0 == 0.0
         overflows = ~(highs / mu0 < math.inf)
         failing = underflows | overflows
         if weighted:
-            means = _group_sums(values * quantities, bounds) / totals
-            for i in np.flatnonzero(~((totals < math.inf) & np.isfinite(means))).tolist():
-                lo, hi = bounds[i], bounds[i + 1]
-                means[i] = _rescaled_mean_price(values[lo:hi], quantities[lo:hi], True)
+            means = _group_sums(values * scaled_quantities, bounds) / totals
             failing |= ~(np.abs(means - 1.0) <= 1e-12)  # NaN fails too
     if failing.any():
         i = int(np.argmax(failing))  # the first failing group in key order
@@ -380,15 +383,26 @@ def normalize_prices(
     return NormalizedGroups(keys, mu0, bounds, values, quantities)
 
 
+def _unit_scaled(x: np.ndarray, bounds, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` scaled per group by a power of two, and each group's exponent.
+
+    Group ``i`` is divided by ``2 ** exponents[i]``, which puts its largest
+    entry in ``[0.5, 1)``. The scaling is exact, and ``np.ldexp`` of a
+    result and the exponents scales it back.
+    """
+    exponents = np.frexp(np.maximum.reduceat(x, bounds[:-1]))[1]
+    return np.ldexp(x, -np.repeat(exponents, sizes)), exponents
+
+
 def _group_sums(x: np.ndarray, bounds) -> np.ndarray:
     """``x[lo:hi].sum()`` for each group between consecutive ``bounds``, bit for bit.
 
     Groups of one size are gathered into a ``(groups, size)`` array and
     summed along its rows. numpy sums each contiguous row by the pairwise
     summation it applies to a contiguous slice, so every sum keeps the
-    bits of the per-slice one. A size that only one group has is summed on
-    its slice, without the copy. Distinct sizes number at most about
-    ``sqrt(2 * len(x))``, and so do the numpy calls.
+    bits of the per-slice one, a bucket of one group included. Distinct
+    sizes number at most about ``sqrt(2 * len(x))``, and so do the numpy
+    calls.
     """
     sizes = np.diff(bounds)
     by_size = np.argsort(sizes, kind="stable")
@@ -397,77 +411,33 @@ def _group_sums(x: np.ndarray, bounds) -> np.ndarray:
     sums = np.empty(sizes.size)
     for a, b in zip(cuts[:-1], cuts[1:]):
         bucket = by_size[a:b]
-        i = int(bucket[0])
-        if bucket.size == 1:
-            sums[i] = x[bounds[i]:bounds[i + 1]].sum()
-        else:
-            sums[bucket] = x[starts[bucket, None] + np.arange(sizes[i])].sum(axis=1)
+        sums[bucket] = x[starts[bucket, None] + np.arange(sizes[bucket[0]])].sum(axis=1)
     return sums
-
-
-def _rescaled_mean_price(prices: np.ndarray, quantities: np.ndarray, weighted: bool) -> float:
-    """Mean price of a group whose plain sums overflow or underflow.
-
-    Dividing by the largest price and quantity first keeps every product
-    and sum in range; the quantity scale cancels in the weighted mean.
-    """
-    top = prices.max()
-    scaled = prices / top
-    if weighted:
-        scaled_quantities = quantities / quantities.max()
-        mean = np.sum(scaled * scaled_quantities) / np.sum(scaled_quantities)
-    else:
-        mean = np.mean(scaled)
-    return float(mean * top)
-
-
-def _rescaled_std(values: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted spread of a group whose weight sums leave the float range.
-
-    Dividing the weights by their largest keeps their sums in range; the
-    weight scale cancels in the weighted mean and spread.
-    """
-    scaled = weights / weights.max()
-    total = np.sum(scaled)
-    mean = np.sum(values * scaled) / total
-    return float(np.sqrt(np.sum(scaled * (values - mean) ** 2) / total))
 
 
 def group_std_devs(groups: NormalizedGroups) -> tuple[Sample, int]:
     """One spread statistic per group, pooled for the lognormal fit.
 
     Each group with at least two transactions contributes its
-    quantity-weighted population standard deviation of normalized prices,
-    each sum in it bit for bit that of the group's slice alone; smaller
-    groups carry no spread information and are skipped. A group whose
-    weight sums leave the float range is redone with its weights divided
-    by their largest, since the weight scale cancels. Returns the pooled
-    unit-weight sample and the skipped-group count.
-
-    Raises
-    ------
-    ModelError
-        If a group's spread is still not finite, naming the first such
-        group in key order.
+    quantity-weighted population standard deviation of normalized prices;
+    smaller groups carry no spread information and are skipped. The sums
+    are taken on values and weights scaled per group by a power of two
+    (see the module notes): every term is then at most 1 and every weight
+    total at least 0.5, so each spread is finite and at most half the
+    group's largest value. Returns the pooled unit-weight sample and the
+    skipped-group count.
     """
     bounds, values, weights = groups.bounds, groups.values, groups.weights
     sizes = np.diff(bounds)
     spread = sizes >= 2
     if not spread.any():
         return Sample(values=np.empty(0)), len(groups)
-    # sums out of range are redone on rescaled weights and refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = _group_sums(weights, bounds)
-        means = _group_sums(values * weights, bounds) / totals
-        squares = weights * (values - np.repeat(means, sizes)) ** 2
-        stds = np.sqrt(_group_sums(squares, bounds) / totals)
-        redo = spread & ~((totals < math.inf) & np.isfinite(stds))
-        for i in np.flatnonzero(redo).tolist():
-            lo, hi = bounds[i], bounds[i + 1]
-            stds[i] = _rescaled_std(values[lo:hi], weights[lo:hi])
-            if not np.isfinite(stds[i]):
-                raise ModelError(f"group {groups.keys[i]}: weighted spread of normalized "
-                                 f"prices is {float(stds[i])!r}, not finite")
+    scaled, exponents = _unit_scaled(values, bounds, sizes)
+    scaled_weights, _ = _unit_scaled(weights, bounds, sizes)
+    totals = _group_sums(scaled_weights, bounds)
+    means = _group_sums(scaled * scaled_weights, bounds) / totals
+    squares = scaled_weights * (scaled - np.repeat(means, sizes)) ** 2
+    stds = np.ldexp(np.sqrt(_group_sums(squares, bounds) / totals), exponents)
     return Sample(values=stds[spread]), len(groups) - int(spread.sum())
 
 

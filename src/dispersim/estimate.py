@@ -28,10 +28,11 @@ FAMILY_LAPLACE = "laplace"
 FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
 
 #: The shift search scans this many shifts at a time (odd, so each scan's
-#: best shift is a node of the next) until a scanned bracket is narrower
-#: than ``_SCAN_REL_TOL`` of the bounds width.
+#: best shift is a node of the next), ``_SCAN_LEVELS`` times. Each scan
+#: narrows the bracket 32-fold, so the last one spans less than 1e-6 of the
+#: bounds width.
 _SCAN_NODES = 65
-_SCAN_REL_TOL = 1e-6
+_SCAN_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ def fit_laplace(sample: Sample) -> FitResult:
     ------
     DegenerateSample
         If fewer than two observations are given, the deviations all
-        vanish, so no positive scale exists, or the weighted median lies
-        below the price floor of zero that the fitted law carries.
+        vanish, so no positive scale exists, their weighted mean overflows,
+        or the weighted median lies below the price floor of zero that the
+        fitted law carries.
     """
     if sample.size < 2:
         raise DegenerateSample("need at least two observations for a scale")
@@ -88,7 +90,11 @@ def fit_laplace(sample: Sample) -> FitResult:
     mu = float(s.values[np.searchsorted(cum, 0.5 * total)])
     if mu < 0.0:
         raise DegenerateSample(f"weighted median {mu!r} lies below the price floor 0.0")
-    sigma = float(np.sum(s.weights * np.abs(s.values - mu)) / total)
+    with np.errstate(over="ignore"):
+        # deviations past the float range are refused below
+        sigma = float(np.sum(s.weights * np.abs(s.values - mu)) / total)
+    if not sigma < np.inf:
+        raise DegenerateSample(f"the mean absolute deviation about {mu!r} overflows")
     if sigma <= 0.0:
         raise DegenerateSample("all observations coincide; scale is zero")
     params = LaplaceParams(mu=mu, sigma=sigma, mu_m=0.0)
@@ -120,10 +126,12 @@ def fit_shifted_lognormal(
     For a fixed shift the location and log-scale estimates are the weighted
     mean and standard deviation of the shifted logs, in closed form; the
     concentrated likelihood is then maximized over the shift by nested
-    scans of 65 evenly spaced shifts: first over the bounds, then over the
-    two cells around the last scan's best shift, until the scanned bracket
-    is narrower than 1e-6 of the bounds width. The best shift is a node of
-    the next scan, so the profile never falls from scan to scan.
+    scans of 65 evenly spaced shifts: first over the bounds, then four
+    times over the two cells around the last scan's best shift. Each scan
+    narrows the bracket 32-fold, so the last spans less than 1e-6 of the
+    bounds width, and the search ends after five scans however narrow the
+    bounds are. The best shift is a node of the next scan, so the profile
+    never falls from scan to scan.
     Passing equal bounds pins the shift and skips the search.
 
     The likelihood is unbounded as the shift approaches the smallest
@@ -183,10 +191,8 @@ def fit_shifted_lognormal(
     shift = lo
     if lo < hi:
         nodes, cell = np.linspace(lo, hi, _SCAN_NODES), (hi - lo) / (_SCAN_NODES - 1)
-        while True:
+        for _ in range(_SCAN_LEVELS):
             shift = float(nodes[np.argmin([negative_profile(g) for g in nodes])])
-            if (_SCAN_NODES - 1) * cell < _SCAN_REL_TOL * (hi - lo):
-                break
             nodes = np.unique(np.clip(shift + np.linspace(-cell, cell, _SCAN_NODES), lo, hi))
             cell /= (_SCAN_NODES - 1) // 2
         if clamped and shift == hi:

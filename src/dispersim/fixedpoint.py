@@ -21,7 +21,7 @@ from .grids import GriddedDistribution, checked_grid, cumulative_trapezoid
 __all__ = ["FixedPointResult", "fixed_point_map", "fixed_point_solve"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointResult:
     """Outcome of :func:`fixed_point_solve`."""
 

@@ -53,7 +53,7 @@ def checked_grid(grid) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GriddedDistribution:
     """A probability density on a strictly increasing grid.
 

@@ -41,7 +41,7 @@ STABILITY_BOUND = 0.1
 INFLOW_SHAPES = ("monotone", "matched")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketState:
     """Waiting stocks, matching rate, clock, and accumulated sales tallies.
 
@@ -153,7 +153,7 @@ class InflowSpec:
         return demand / demand.sum(), supply / supply.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Sales law, per-step totals series, and the final market state.
 
@@ -185,12 +185,12 @@ _MAX_BLOCK = 64
 def _block_steps(bins: int) -> int:
     """Steps per block of :func:`run` on ``bins`` bins.
 
-    A block step holds seven float rows of the grid's length (stocks before
-    and after, uncapped and available units, transacted units, jittered
-    inflows) and one byte row of cap flags. The block is the largest one
-    whose rows, plus the seed row, fit in :data:`_SCRATCH_BYTES`, at least 1.
+    A block step holds six float rows of the grid's length (stocks before
+    and after, uncapped units, transacted units, jittered inflows). The
+    block is the largest one whose rows, plus the seed row, fit in
+    :data:`_SCRATCH_BYTES`, at least 1.
     """
-    row_bytes = (7 * 8 + 1) * bins + 16
+    row_bytes = 6 * 8 * bins + 16
     return max(1, min(_MAX_BLOCK, _SCRATCH_BYTES // row_bytes - 1))
 
 
@@ -216,7 +216,7 @@ def run(
     and the cumulative sales are reduced from those rows. The jitter
     normals of a block are drawn in one call into its scratch, in step
     order, so they are the same stream as two normals drawn per step. The
-    scratch stays within 1 MiB on grids of up to about 9 000 bins, so
+    scratch stays within 1 MiB on grids of up to about 11 000 bins, so
     memory grows with the run length only through the per-step series.
     Every result is bitwise what a step-by-step loop over the same
     arithmetic gives.
@@ -269,8 +269,6 @@ def run(
     stocks = np.empty((block + 1, 2, bins))
     booked = np.empty((block + 1, bins))
     uncapped = np.empty((block, bins))
-    available = np.empty((block, bins))
-    capped = np.empty((block, bins), dtype=bool)
     stocks[0, 0] = initial.x_bins
     stocks[0, 1] = initial.z_bins
     if jitter > 0.0:
@@ -280,7 +278,7 @@ def run(
     else:
         deposits = [inflows] * block
     steps = list(zip(stocks[:-1], stocks[1:], stocks[:-1, 0], stocks[:-1, 1],
-                     uncapped, available, booked[1:], deposits))
+                     uncapped, booked[1:], deposits))
 
     # Books that overflow are refused at the end of the first block that
     # reaches them, so numpy's warnings on the way there are only noise.
@@ -295,11 +293,11 @@ def run(
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
                 np.multiply(factors[:m, :, None], inflows, out=added[:m])
-            for before, after, x, z, u, a, t, deposit in steps[:m]:
+            for before, after, x, z, u, t, deposit in steps[:m]:
                 np.multiply(x, eta_dt, out=u)
                 np.multiply(u, z, out=u)
-                np.minimum(x, z, out=a)
-                np.minimum(u, a, out=t)
+                np.minimum(u, x, out=t)
+                np.minimum(t, z, out=t)
                 np.subtract(before, t, out=after)
                 np.add(after, deposit, out=after)
 
@@ -307,8 +305,8 @@ def run(
             np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)
             np.add.reduce(booked[1:m + 1], axis=1, out=sales_rate[span])
             np.divide(sales_rate[span], dt, out=sales_rate[span])
-            cap_hits += int(np.count_nonzero(
-                np.greater(uncapped[:m], available[:m], out=capped[:m])))
+            # a step's units fall short of its uncapped ones only at the cap
+            cap_hits += int(np.count_nonzero(booked[1:m + 1] < uncapped[:m]))
             peak_stock = max(peak_stock, float(np.max(stocks[:m])))
             # MarketState refuses grids of fewer than 2 nodes, so this reduction
             # runs over two or more columns and adds each bin's rows in step

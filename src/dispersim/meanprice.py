@@ -67,7 +67,7 @@ class SdeParams:
         return max(int(round(self.horizon / self.dt)), 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Terminal gaps, their log-space summary, and optionally full paths.
 

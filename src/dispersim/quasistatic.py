@@ -80,7 +80,7 @@ def total_sales_rate(eta: float, x_total: float, z_total: float, sigma_norm: flo
     return eta * x_total * z_total * sigma_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupplyDemandCurves:
     """Outstanding demand and supply as functions of price.
 

@@ -604,6 +604,48 @@ def test_fit_lognormal_on_the_clamp_exits_2_without_artifacts(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def _fit_in_child(tmp_path, rows, cfg):
+    """Run ``dispersim fit`` on ``rows`` in a child that turns warnings into errors.
+
+    The timeout fails a search that never ends instead of hanging the suite.
+    """
+    sample_path = _write(tmp_path, "s.csv", "value\n" + rows)
+    config = _write(tmp_path, "fit.cfg", f"fit.input = {sample_path}\n{cfg}")
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dispersim", "fit", str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=20)
+    return done, out
+
+
+def test_fit_lognormal_on_subnormal_shift_bounds_ends(tmp_path):
+    # below a width of about 5e-318, 1e-6 of the bounds width rounds to 0
+    done, out = _fit_in_child(
+        tmp_path, "1\n2\n3\n5\n",
+        "fit.family = shifted-lognormal\nfit.shift_lo = 0\nfit.shift_hi = 1e-320\n")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert 0.0 <= float(parse_config((out / "fit.txt").read_text())["shift"]) <= 1e-320
+
+
+def test_fit_lognormal_of_subnormal_values_ends(tmp_path):
+    done, out = _fit_in_child(
+        tmp_path, "1e-320\n2e-320\n3e-320\n5e-320\n", "fit.family = shifted-lognormal\n")
+    assert done.returncode == 2
+    assert done.stderr.startswith("dispersim: error: the shift profile has no local maximum")
+    assert list(out.iterdir()) == []
+
+
+def test_fit_laplace_whose_deviations_overflow_exits_2_without_artifacts(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    done, _ = _fit_in_child(tmp_path, "-1e308\n1e308\n1e308\n", "fit.family = laplace\n")
+    assert done.returncode == 2
+    assert done.stderr == ("dispersim: error: the mean absolute deviation about 1e+308 "
+                           "overflows\n")
+    assert _dir_bytes(out) == {"keep.txt": b"kept\n"}
+
+
 def test_fit_missing_input_file_exits_1(tmp_path, capsys):
     cfg = f"fit.input = {tmp_path / 'absent.csv'}\nfit.family = laplace\n"
     code, _ = _run(tmp_path, "fit", cfg)
@@ -667,37 +709,32 @@ def test_normalize_overflowing_group_exits_2_and_leaves_out_untouched(tmp_path, 
 
 
 @pytest.mark.parametrize("weighted", ["true", "false"])
-def test_normalize_groups_whose_weight_sums_overflow_exit_0_or_2_without_warnings(
+def test_normalize_groups_whose_plain_sums_overflow_or_lose_bits_exit_0_without_warnings(
         tmp_path, weighted):
     header = "good_id,market_id,quarter,price,quantity\n"
-    good = _write(tmp_path, "good.csv", header + "milk,a,q,1.0,2\nmilk,b,q,3.0,1\n")
     cases = [
-        # quantity totals overflow: the weights are rescaled, the spread is 1/3
-        (header + "milk,a,q,1,1e308\nmilk,b,q,2,1e308\n", 0, "0.3333333333333333"),
-        # weighted mu0 is about 1, so the squared deviation of 1e200 overflows
-        (header + "milk,a,q,1,1e300\nmilk,b,q,1e200,1\n",
-         2 if weighted == "true" else 0, "2e-150"),
+        # the plain quantity totals overflow; the spread is 1/3
+        (header + "milk,a,q,1,1e308\nmilk,b,q,2,1e308\n",
+         "0.3333333333333333", "0.3333333333333333"),
+        # weighted, mu0 is about 2, so the plain squared deviation of 5e299 overflows
+        (header + "milk,a,q,1,1e300\nmilk,b,q,1e300,1\n", "5e+149", "2e-150"),
+        # the plain products are subnormal and keep only a few bits
+        (header + "bread,a,q,1e-160,1e-160\nbread,b,q,2e-160,1e-160\n"
+                  "bread,c,q,3e-160,2e-160\n", "0.3685138655950444", "0.414578098794425"),
     ]
-    for n, (rows, expected, spread) in enumerate(cases):
+    for n, (rows, *spreads) in enumerate(cases):
         out = tmp_path / f"out{n}"
-        cfg = f"normalize.input = {good}\nnormalize.weighted = {weighted}\n"
-        assert main(["normalize", str(_write(tmp_path, "good.cfg", cfg)), "--out", str(out)]) == 0
-        before = _dir_bytes(out)
-        cfg = cfg.replace(str(good), str(_write(tmp_path, f"t{n}.csv", rows)))
+        cfg = f"normalize.input = {_write(tmp_path, f't{n}.csv', rows)}\n"
+        cfg += f"normalize.weighted = {weighted}\n"
         # a child interpreter that turns every warning into an error
         done = subprocess.run(
             [sys.executable, "-W", "error", "-m", "dispersim", "normalize",
              str(_write(tmp_path, f"t{n}.cfg", cfg)), "--out", str(out)],
             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
             timeout=120)
-        assert done.returncode == expected
-        if expected == 0:
-            assert done.stderr == ""
-            assert (out / "group_stds.csv").read_text() == f"value\n{spread}\n"
-        else:
-            assert done.stderr == ("dispersim: error: group ('milk',): weighted spread "
-                                   "of normalized prices is inf, not finite\n")
-            assert _dir_bytes(out) == before
+        assert (done.returncode, done.stderr) == (0, "")
+        spread = spreads[weighted == "false"]
+        assert (out / "group_stds.csv").read_text() == f"value\n{spread}\n"
 
 
 def test_normalize_rejects_unknown_grouping(tmp_path, capsys):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import io
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dispersim.dataio as dataio
 from dispersim.dataio import (
     GROUPINGS,
     NormalizedGroups,
@@ -234,17 +238,33 @@ def test_normalized_weighted_means_are_one_for_every_group():
     assert np.all(np.abs(_weighted_means(groups) - 1.0) <= 1e-12)
 
 
-def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
-    # subnormal quantities round each product to a few bits, so the
-    # quantity-weighted mean of the normalized prices drifts off 1
+def _skew_mean_check(monkeypatch, change):
+    """Pass the group sums that the weighted-mean check reads through ``change``.
+
+    A weighted ``normalize_prices`` takes three group sums; the check's is the last.
+    """
+    real, calls = dataio._group_sums, itertools.count(1)
+
+    def patched(x, bounds):
+        sums = real(x, bounds)
+        return change(sums) if next(calls) % 3 == 0 else sums
+
+    monkeypatch.setattr(dataio, "_group_sums", patched)
+
+
+def test_normalize_refuses_a_group_whose_weighted_mean_misses_one(monkeypatch):
+    # subnormal quantities (23 and 26 units of 2**-1074) keep every bit once
+    # scaled, so the weighted mean is that of the exact products
     milk = "milk,n,2011Q1,3.0,1.14e-322\nmilk,s,2011Q1,1.6,1.3e-322\n"
     table = _table(f"{HEADER_LINE}\nrice,n,2011Q1,1.0,1\n{milk}")
-    message = (r"^group \('milk',\): weighted mean of normalized prices is "
-               r"0\.9795918367346939, not 1$")
-    with pytest.raises(ModelError, match=message):
-        normalize_prices(table)
+    assert normalize_prices(table).mu0.tolist() == [(3.0 * 23 + 1.6 * 26) / 49, 1.0]
     assert normalize_prices(table, weighted=False).mu0.tolist() == [2.3, 1.0]
 
+    # no finite group misses the check now, so its sums are doubled
+    _skew_mean_check(monkeypatch, lambda sums: 2.0 * sums)
+    message = r"^group \('milk',\): weighted mean of normalized prices is 2\.0\d*, not 1$"
+    with pytest.raises(ModelError, match=message):
+        normalize_prices(table)
     # the first failing group in key order is refused, not the first in the table
     apple = "apple,n,2011Q1,1e-300,1\napple,s,2011Q1,1e300,1\n"
     with pytest.raises(ModelError, match=r"^group \('apple',\): .* underflows to 0$"):
@@ -252,23 +272,14 @@ def test_normalize_refuses_a_group_whose_weighted_mean_misses_one():
     zebra = apple.replace("apple", "zebra")
     with pytest.raises(ModelError, match=message):
         normalize_prices(_table(f"{HEADER_LINE}\n{zebra}{milk}"))
-
     # within a group, the underflow check comes before the mean check
-    both = _table(
-        f"{HEADER_LINE}\n"
-        "milk,a,2011Q1,1e-300,4e-323\nmilk,b,2011Q1,3.4e299,5e-323\n"
-        "milk,c,2011Q1,7.5e299,9e-323\nmilk,d,2011Q1,1.7e299,1.2e-322\n"
-    )
-    values = both.price / (np.sum(both.price * both.quantity) / np.sum(both.quantity))
-    assert values[0] == 0.0
-    assert abs(np.sum(values * both.quantity) / np.sum(both.quantity) - 1.0) > 1e-12
     with pytest.raises(ModelError, match="underflows to 0"):
-        normalize_prices(both)
+        normalize_prices(_table(f"{HEADER_LINE}\n{zebra}"))
 
 
 def test_normalize_refuses_a_group_whose_normalized_prices_overflow():
-    # every scaled product of the rescaled mean underflows, so mu0 is 0; the
-    # exact mean is about 5e-109, which puts 1e300 / mu0 near 2e408 anyway
+    # every scaled product underflows, so mu0 is 0; the exact mean is
+    # about 5e-109, which puts 1e300 / mu0 near 2e408 anyway
     rows = "milk,a,q,1e-300,1e308\nmilk,b,q,1e-300,1e308\nmilk,c,q,1e300,1e-100\n"
     message = r"^group \('milk',\): normalized price 1e\+300 / 0\.0 overflows$"
     with pytest.raises(ModelError, match=message):
@@ -281,10 +292,12 @@ def test_normalize_refuses_a_group_whose_normalized_prices_overflow():
     apple = "apple,n,q,1e-300,1\napple,s,q,1e300,1\n"
     with pytest.raises(ModelError, match=r"^group \('apple',\): .* underflows to 0$"):
         normalize_prices(_table(f"{HEADER_LINE}\n{rows}{apple}"))
-    rice ="rice,n,q,3.0,1.14e-322\nrice,s,q,1.6,1.3e-322\n"
+    # a group of subnormal quantities passes, whether it sorts before or after the failing group
+    rice = "rice,n,q,3.0,1.14e-322\nrice,s,q,1.6,1.3e-322\n"
     with pytest.raises(ModelError, match=message):
         normalize_prices(_table(f"{HEADER_LINE}\n{rice}{rows}"))
-    with pytest.raises(ModelError, match=r"^group \('rice',\): weighted mean"):
+    salt = message.replace("milk", "salt")
+    with pytest.raises(ModelError, match=salt):
         normalize_prices(_table(f"{HEADER_LINE}\n{rows.replace('milk', 'salt')}{rice}"))
 
 
@@ -331,21 +344,28 @@ def test_normalize_rescales_the_mean_check_of_a_group_whose_quantities_overflow(
 
 
 def test_normalize_refuses_a_group_whose_weighted_mean_is_not_finite(monkeypatch):
-    import dispersim.dataio as dataio
-
-    # a mean that stays NaN after rescaling must not pass the 1e-12 check;
-    # the first call rescales mu0, the second the mean of normalized prices
-    real, calls = dataio._rescaled_mean_price, []
-
-    def nan_on_second_call(*args):
-        calls.append(args)
-        return real(*args) if len(calls) == 1 else float("nan")
-
-    monkeypatch.setattr(dataio, "_rescaled_mean_price", nan_on_second_call)
+    # a NaN mean must not pass the 1e-12 check
+    _skew_mean_check(monkeypatch, lambda sums: np.full_like(sums, np.nan))
     table = _table(f"{HEADER_LINE}\nmilk,a,q,1,1e308\nmilk,b,q,2,1e308\n")
     with pytest.raises(ModelError, match=r"group \('milk',\): weighted mean .* is nan, not 1"):
         normalize_prices(table)
-    assert len(calls) == 2
+
+
+def test_normalize_keeps_the_bits_of_subnormal_products():
+    # the plain products are subnormal and keep only a few bits, which put
+    # the plain weighted mean of normalized prices at 1.000011132941258
+    rows = "bread,a,q,1e-160,1e-160\nbread,b,q,2e-160,1e-160\nbread,c,q,3e-160,2e-160\n"
+    table = _table(f"{HEADER_LINE}\n{rows}")
+    groups = normalize_prices(table)
+    price, quantity = (list(map(Fraction, column)) for column in (table.price, table.quantity))
+    mean = sum(p * q for p, q in zip(price, quantity)) / sum(quantity)
+    assert groups.mu0[0] == pytest.approx(float(mean), rel=1e-15)
+    # the spread is that of the exact sums over the normalized prices
+    values = list(map(Fraction, groups.values))
+    mean = sum(v * q for v, q in zip(values, quantity)) / sum(quantity)
+    square = sum(q * (v - mean) ** 2 for v, q in zip(values, quantity)) / sum(quantity)
+    assert math.sqrt(square) == 0.3685138655950444
+    assert group_std_devs(groups)[0].values.tolist() == [0.3685138655950444]
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -449,24 +469,21 @@ def test_group_std_devs_pools_and_skips_singletons():
     assert heavy.values[0] == pytest.approx(np.sqrt(3.0) / 4.0, rel=1e-12)
 
 
-def test_group_std_devs_rescale_weights_whose_sums_overflow_and_refuse_what_stays_infinite():
-    # in group d only the weight total overflows: the plain spread is a finite 0
+def test_group_std_devs_take_spreads_whose_plain_sums_overflow():
+    # in groups a and d the plain weight totals overflow, in group b of
+    # values 1 and 1e200 the plain squared deviation
     groups = NormalizedGroups(
-        [("a",), ("b",), ("c",), ("d",)], [1.0] * 4, [0, 2, 3, 5, 7],
-        [0.5, 1.5, 1.0, 0.9, 1.1, 0.5, 0.1], [1e308, 1e308, 1e308, 1.0, 1.0, 1e308, 1e308],
+        [("a",), ("b",), ("c",), ("d",), ("e",)], [1.0] * 5, [0, 2, 4, 5, 7, 9],
+        [0.5, 1.5, 1.0, 1e200, 1.0, 0.9, 1.1, 0.5, 0.1],
+        [1e308, 1e308, 1.0, 1.0, 1e308, 1.0, 1.0, 1e308, 1e308],
     )
     pooled, skipped = group_std_devs(groups)
     assert skipped == 1
     assert pooled.values[0] == 0.5
-    assert pooled.values[2] == pytest.approx(0.2, rel=1e-15)
-    plain, _ = group_std_devs(NormalizedGroups([("c",)], [1.0], [0, 2], [0.9, 1.1], [1.0, 1.0]))
-    assert pooled.values[1:2].tobytes() == plain.values.tobytes()
-    # a squared deviation that overflows stays infinite whatever the weights
-    wide = NormalizedGroups(
-        [("a",), ("b",)], [1.0] * 2, [0, 2, 4], [0.5, 1.5, 1.0, 1e200], [1.0] * 4
-    )
-    with pytest.raises(ModelError, match=r"group \('b',\): weighted spread .* is inf"):
-        group_std_devs(wide)
+    assert pooled.values[1] == pytest.approx(0.5e200, rel=1e-15)
+    assert pooled.values[3] == pytest.approx(0.2, rel=1e-15)
+    plain, _ = group_std_devs(NormalizedGroups([("d",)], [1.0], [0, 2], [0.9, 1.1], [1.0, 1.0]))
+    assert pooled.values[2:3].tobytes() == plain.values.tobytes()
 
 
 def test_group_std_devs_of_nothing_is_an_empty_sample():

@@ -63,3 +63,24 @@ def test_sorted_is_the_stable_argsort_order(values):
     np.testing.assert_array_equal(out.weights, weights[order])
     np.testing.assert_array_equal(np.signbit(out.values), np.signbit(values[order]))
     np.testing.assert_array_equal(out.values, values[order])
+
+
+def test_array_records_compare_by_identity_and_hash():
+    from dispersim.dataio import NormalizedGroups, TransactionTable
+    from dispersim.fixedpoint import FixedPointResult
+    from dispersim.grids import GriddedDistribution
+    from dispersim.kinetic import MarketState, SimResult
+    from dispersim.meanprice import EnsembleResult
+    from dispersim.quasistatic import SupplyDemandCurves
+
+    for record in (Sample, TransactionTable, NormalizedGroups, GriddedDistribution,
+                   SupplyDemandCurves, MarketState, SimResult, EnsembleResult,
+                   FixedPointResult):
+        assert record.__eq__ is object.__eq__ and record.__hash__ is object.__hash__
+    # equal arrays would make a field-wise == ambiguous, so records are distinct
+    a, b = Sample(np.array([1.0, 2.0])), Sample(np.array([1.0, 2.0]))
+    assert a == a and a != b
+    grid = np.linspace(0.0, 1.0, 5)
+    law = GriddedDistribution.from_density(grid, np.ones(5))
+    assert law != GriddedDistribution.from_density(grid, np.ones(5))
+    assert len({a, b, a, law}) == 3
