@@ -1,17 +1,17 @@
-"""Command-line orchestration: seeded runs, artifact files, run manifests.
+"""Command-line orchestration: artifact files and run manifests.
 
 Every subcommand reads one flat key-value config file and returns its
 artifact tables as text. Before it loads an input file or calls into the
 model, a subcommand refuses every config key that it did not read, such as
-a typo or an option that the chosen mode ignores. ``main`` adds a
-``manifest.txt`` echoing the effective configuration, seed, and package
-version, which is enough to reproduce the run byte for byte, and listing
-the artifacts the run wrote.
-Only then does it write the artifacts into the output directory, each
-atomically (temp file plus rename), and remove the files that the previous
-manifest there listed and this run did not rewrite. A run that exits 1 or
-2 therefore writes and removes nothing and leaves the output directory as
-it was; only a failing write or removal can leave part of a run's files
+a typo or an option that the chosen mode ignores. Only the two simulators
+draw random numbers, so only they read the ``seed`` key (``--seed`` sets
+it). ``main`` adds a ``manifest.txt`` echoing the package version and the
+config keys as given, enough to reproduce the run byte for byte, and the
+artifacts the run wrote. Only then does it create the output directory,
+write the artifacts into it, each atomically (temp file plus rename), and
+remove the files that the previous manifest there listed and this run did
+not rewrite. A run that exits 1 or 2 therefore creates, writes and removes
+nothing; only a failing write or removal can leave part of a run's files
 behind.
 
 Exit codes: 0 on success, 1 when the input or configuration is unusable,
@@ -108,11 +108,9 @@ def _keyvalue(pairs) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def _manifest(command: str, seed: int, cfg: dict[str, str], artifacts) -> str:
-    pairs = [("command", command), ("version", __version__), ("seed", seed),
-             ("artifacts", " ".join(sorted(artifacts)))]
-    pairs.extend((key, cfg[key]) for key in sorted(cfg) if key != "seed")
-    return _keyvalue(pairs)
+def _manifest(command: str, cfg: dict[str, str], artifacts) -> str:
+    return _keyvalue([("command", command), ("version", __version__),
+                      ("artifacts", " ".join(sorted(artifacts))), *sorted(cfg.items())])
 
 
 def _listed_artifacts(manifest: Path) -> set[str]:
@@ -139,11 +137,11 @@ def _grid_from(cfg) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (cfg, seed) -> {artifact file name: text}
+# Subcommand handlers: cfg -> {artifact file name: text}
 # ---------------------------------------------------------------------------
 
 
-def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
+def _simulate_kinetic(cfg) -> dict[str, str]:
     grid = _grid_from(cfg)
     inflow = InflowSpec(
         demand_rate=get_float(cfg, "kinetic.demand_rate"),
@@ -161,6 +159,8 @@ def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
     }
     dt = get_float(cfg, "kinetic.dt")
     horizon = get_float(cfg, "kinetic.horizon")
+    # read without jitter too: the seed then draws nothing, but is no typo
+    seed = get_int(cfg, "seed", 0)
     cfg.refuse_unread()
     state = (stationary_state(grid, eta, inflow) if stationary
              else initial_state(grid, eta, inflow, **totals))
@@ -183,14 +183,14 @@ def _simulate_kinetic(cfg, seed: int) -> dict[str, str]:
     }
 
 
-def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
+def _simulate_meanprice(cfg) -> dict[str, str]:
     params = SdeParams(
         omega0=get_float(cfg, "sde.omega0"),
         noise_amp=get_float(cfg, "sde.noise_amp"),
         dt=get_float(cfg, "sde.dt"),
         horizon=get_float(cfg, "sde.horizon"),
         n_paths=get_int(cfg, "sde.n_paths"),
-        seed=seed,
+        seed=get_int(cfg, "seed", 0),
     )
     store_paths = get_bool(cfg, "sde.store_paths", False)
     cfg.refuse_unread()
@@ -210,7 +210,7 @@ def _simulate_meanprice(cfg, seed: int) -> dict[str, str]:
     return artifacts
 
 
-def _fixed_point(cfg, seed: int) -> dict[str, str]:
+def _fixed_point(cfg) -> dict[str, str]:
     grid = _grid_from(cfg)
     init = None
     if get_str(cfg, "fixedpoint.init", "uniform", choices=("uniform", "laplace")) == "laplace":
@@ -235,7 +235,7 @@ def _fixed_point(cfg, seed: int) -> dict[str, str]:
     }
 
 
-def _mixture(cfg, seed: int) -> dict[str, str]:
+def _mixture(cfg) -> dict[str, str]:
     grid = _grid_from(cfg)
     law = LognormalParams(
         gamma=get_float(cfg, "mixture.gamma"),
@@ -253,7 +253,7 @@ def _mixture(cfg, seed: int) -> dict[str, str]:
     return {"density.csv": _table("price,density", grid, density)}
 
 
-def _fit(cfg, seed: int) -> dict[str, str]:
+def _fit(cfg) -> dict[str, str]:
     family = get_str(
         cfg, "fit.family", choices=(FAMILY_LAPLACE, FAMILY_SHIFTED_LOGNORMAL)
     )
@@ -292,7 +292,7 @@ def _fit(cfg, seed: int) -> dict[str, str]:
     }
 
 
-def _normalize(cfg, seed: int) -> dict[str, str]:
+def _normalize(cfg) -> dict[str, str]:
     path = get_str(cfg, "normalize.input")
     grouping = get_str(cfg, "normalize.grouping", "good", choices=GROUPINGS)
     weighted = get_bool(cfg, "normalize.weighted", True)
@@ -349,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_line)
         sub.add_argument("config", help="flat key-value config file")
         sub.add_argument("--out", default="out", help="output directory (default: out)")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
+        sub.add_argument("--seed", type=int, help="override the config seed")
     return parser
 
 
@@ -359,12 +358,12 @@ def main(argv=None) -> int:
     handler, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        config_seed = get_int(cfg, "seed", 0)
-        seed = config_seed if args.seed is None else args.seed
+        if args.seed is not None:
+            cfg["seed"] = str(args.seed)
+        artifacts = handler(cfg)
+        artifacts["manifest.txt"] = _manifest(args.command, cfg, artifacts)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = handler(cfg, seed)
-        artifacts["manifest.txt"] = _manifest(args.command, seed, cfg, artifacts)
         stale = _listed_artifacts(out_dir / "manifest.txt") - artifacts.keys()
         for name, text in artifacts.items():
             atomic_write_text(out_dir / name, text)

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, MalformedRow, ModelError
-from .samples import Sample
+from .samples import Sample, unit_scaled
 
 HEADER = ("good_id", "market_id", "quarter", "price", "quantity")
 _ID_COLUMNS = HEADER[:3]
@@ -355,11 +355,11 @@ def normalize_prices(
     # division is monotone: a group's values run from low / mu0 to high / mu0
     lows = np.minimum.reduceat(prices, bounds[:-1])
     highs = np.maximum.reduceat(prices, bounds[:-1])
-    scaled, exponents = _unit_scaled(prices, bounds, sizes)
+    scaled, exponents = unit_scaled(prices, bounds)
     # quotients out of range are refused below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if weighted:
-            scaled_quantities, _ = _unit_scaled(quantities, bounds, sizes)
+            scaled_quantities, _ = unit_scaled(quantities, bounds)
             totals = _group_sums(scaled_quantities, bounds)
             mu0 = np.ldexp(_group_sums(scaled * scaled_quantities, bounds) / totals, exponents)
         else:
@@ -381,17 +381,6 @@ def normalize_prices(
             reason = f"weighted mean of normalized prices is {float(means[i])!r}, not 1"
         raise ModelError(f"group {keys[i]}: {reason}")
     return NormalizedGroups(keys, mu0, bounds, values, quantities)
-
-
-def _unit_scaled(x: np.ndarray, bounds, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` scaled per group by a power of two, and each group's exponent.
-
-    Group ``i`` is divided by ``2 ** exponents[i]``, which puts its largest
-    entry in ``[0.5, 1)``. The scaling is exact, and ``np.ldexp`` of a
-    result and the exponents scales it back.
-    """
-    exponents = np.frexp(np.maximum.reduceat(x, bounds[:-1]))[1]
-    return np.ldexp(x, -np.repeat(exponents, sizes)), exponents
 
 
 def _group_sums(x: np.ndarray, bounds) -> np.ndarray:
@@ -432,8 +421,8 @@ def group_std_devs(groups: NormalizedGroups) -> tuple[Sample, int]:
     spread = sizes >= 2
     if not spread.any():
         return Sample(values=np.empty(0)), len(groups)
-    scaled, exponents = _unit_scaled(values, bounds, sizes)
-    scaled_weights, _ = _unit_scaled(weights, bounds, sizes)
+    scaled, exponents = unit_scaled(values, bounds)
+    scaled_weights, _ = unit_scaled(weights, bounds)
     totals = _group_sums(scaled_weights, bounds)
     means = _group_sums(scaled * scaled_weights, bounds) / totals
     squares = scaled_weights * (scaled - np.repeat(means, sizes)) ** 2

@@ -2,8 +2,10 @@
 
 All estimators accept weighted samples; weights enter every sum exactly as
 multiplicities would, so integer weights reproduce the unweighted estimate
-on the expanded sample. Each fit returns a :class:`FitResult` carrying the
-family name, the estimates, the attained log-likelihood, and the weighted
+on the expanded sample. The sums are taken on the weights scaled by one
+power of two, so that weights near the top of the float range cannot
+overflow them. Each fit returns a :class:`FitResult` carrying the family
+name, the estimates, the attained log-likelihood, and the weighted
 Kolmogorov-Smirnov distance against the fitted law itself. Everything here
 is numpy: the shifted lognormal shift is found by nested grid scans.
 """
@@ -22,7 +24,7 @@ from .laws import (
     laplace_cdf,
     lognormal_cdf,
 )
-from .samples import Sample
+from .samples import Sample, unit_scaled
 
 FAMILY_LAPLACE = "laplace"
 FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
@@ -84,29 +86,49 @@ def fit_laplace(sample: Sample) -> FitResult:
     """
     if sample.size < 2:
         raise DegenerateSample("need at least two observations for a scale")
-    s = sample.sorted()
-    total = s.total_weight
-    cum = np.cumsum(s.weights)
-    mu = float(s.values[np.searchsorted(cum, 0.5 * total)])
+    values, weights, exponent = _sorted_scaled(sample)
+    total = float(weights.sum())
+    cum = np.cumsum(weights)
+    mu = float(values[np.searchsorted(cum, 0.5 * total)])
     if mu < 0.0:
         raise DegenerateSample(f"weighted median {mu!r} lies below the price floor 0.0")
     with np.errstate(over="ignore"):
         # deviations past the float range are refused below
-        sigma = float(np.sum(s.weights * np.abs(s.values - mu)) / total)
+        sigma = float(np.sum(weights * np.abs(values - mu)) / total)
     if not sigma < np.inf:
         raise DegenerateSample(f"the mean absolute deviation about {mu!r} overflows")
     if sigma <= 0.0:
         raise DegenerateSample("all observations coincide; scale is zero")
     params = LaplaceParams(mu=mu, sigma=sigma, mu_m=0.0)
-    loglik = -total * (np.log(2.0 * sigma) + 1.0)
-    ks = _ks_of_sorted(s, lambda x: laplace_cdf(x, params))
+    loglik = _scaled_back(-total * (np.log(2.0 * sigma) + 1.0), exponent)
+    ks = _ks_of_sorted(values, weights, lambda x: laplace_cdf(x, params))
     return FitResult(
         family=FAMILY_LAPLACE,
         params=params,
-        log_likelihood=float(loglik),
+        log_likelihood=loglik,
         ks_distance=ks,
         n=sample.size,
     )
+
+
+def _sorted_scaled(sample: Sample) -> tuple[np.ndarray, np.ndarray, int]:
+    """Values in ascending (stable) order, their weights scaled by
+    :func:`~dispersim.samples.unit_scaled`, and the exponent that scales
+    them back.
+
+    Every weighted sum of the estimators is taken on these weights, so none
+    overflows, and each ratio of two of them has the plain ratio's bits
+    wherever the plain sums are normal.
+    """
+    s = sample.sorted()
+    weights, (exponent,) = unit_scaled(s.weights)
+    return s.values, weights, int(exponent)
+
+
+def _scaled_back(x: float, exponent: int) -> float:
+    """``x * 2 ** exponent``, rounded once: ``inf`` past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, exponent))
 
 
 def _log_moments(shift: float, values, weights, total) -> tuple[float, float]:
@@ -157,8 +179,8 @@ def fit_shifted_lognormal(
         raise ValueError(f"shift bounds must satisfy 0 <= lo <= hi, got {tuple(shift_bounds)}")
     if sample.size < 3:
         raise DegenerateSample("need at least three observations for three parameters")
-    s = sample.sorted()
-    values, weights, total = s.values, s.weights, s.total_weight
+    values, weights, exponent = _sorted_scaled(sample)
+    total = float(weights.sum())
     if values[0] == values[-1]:
         # every shift leaves logs of one value, whose variance is rounding
         raise DegenerateSample("all observations coincide; shifted logs carry no spread")
@@ -206,14 +228,12 @@ def fit_shifted_lognormal(
     params = LognormalParams(
         gamma=float(np.exp(mean)), omega=float(np.sqrt(var)), shift=shift
     )
-    loglik = -total * (
-        0.5 * np.log(2.0 * np.pi * var) + 0.5 + mean
-    )
-    ks = _ks_of_sorted(s, lambda x: lognormal_cdf(x, params))
+    loglik = _scaled_back(-total * (0.5 * np.log(2.0 * np.pi * var) + 0.5 + mean), exponent)
+    ks = _ks_of_sorted(values, weights, lambda x: lognormal_cdf(x, params))
     return FitResult(
         family=FAMILY_SHIFTED_LOGNORMAL,
         params=params,
-        log_likelihood=float(loglik),
+        log_likelihood=loglik,
         ks_distance=ks,
         n=sample.size,
     )
@@ -230,13 +250,14 @@ def ks_statistic(sample: Sample, cdf) -> float:
     """
     if sample.size == 0:
         raise DegenerateSample("cannot compare an empty sample to a law")
-    return _ks_of_sorted(sample.sorted(), cdf)
+    return _ks_of_sorted(*_sorted_scaled(sample)[:2], cdf)
 
 
-def _ks_of_sorted(s: Sample, cdf) -> float:
-    """``ks_statistic`` of a nonempty sample already ordered by value."""
-    fractions = np.cumsum(s.weights) / s.total_weight
-    model = np.asarray(cdf(s.values), dtype=float)
+def _ks_of_sorted(values, weights, cdf) -> float:
+    """``ks_statistic`` of nonempty values in ascending order, with their
+    weights scaled as :func:`_sorted_scaled` scales them."""
+    fractions = np.cumsum(weights) / weights.sum()
+    model = np.asarray(cdf(values), dtype=float)
     below = np.concatenate(([0.0], fractions[:-1]))
     return float(
         np.max(np.maximum(np.abs(fractions - model), np.abs(below - model)))
@@ -268,9 +289,14 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
         position = np.rint((sample.values - grid[0]) / h)
     # mask before the cast: a position beyond the int range has no int
     inside = (position >= 0) & (position < grid.size)
-    kept = float(sample.weights[inside].sum())
+    # weights scaled so that no sum of them overflows; where none would, the
+    # kept fraction and the normalized law keep their bits
+    weights, _ = unit_scaled(sample.weights)
+    total = float(weights.sum())
+    weights = weights[inside]
+    kept = float(weights.sum())
     if kept <= 0.0:
         raise DegenerateSample("every observation falls outside the grid")
     counts = np.zeros(grid.size)
-    np.add.at(counts, position[inside].astype(int), sample.weights[inside])
-    return GriddedDistribution.from_density(grid, counts), 1.0 - kept / sample.total_weight
+    np.add.at(counts, position[inside].astype(int), weights)
+    return GriddedDistribution.from_density(grid, counts), 1.0 - kept / total

@@ -33,11 +33,13 @@ class FixedPointResult:
 def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Apply one step of the self-consistency map.
 
-    The input's cumulative is used as computed; the complementary branch is
-    ``cum[-1] - cum`` so a seed carrying slightly less than unit mass (a
-    truncated closed form evaluated on the grid) is handled consistently.
-    The output integrates to one (trapezoid rule) by construction; a
-    density with no mass to map raises :class:`~dispersim.errors.ZeroMass`.
+    The input's cumulative is used as computed, without renormalising: the
+    median is where it reaches half its final value ``cum[-1]``, and the
+    complementary branch is ``cum[-1] - cum``, so a seed of any mass (a
+    truncated or scaled closed form evaluated on the grid) maps as its
+    normalised law would. The output integrates to one (trapezoid rule) by
+    construction; a density with no mass to map raises
+    :class:`~dispersim.errors.ZeroMass`.
     """
     grid = checked_grid(grid)
     density = np.asarray(density, dtype=float)
@@ -46,7 +48,7 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
 
 def _map_cumulative(grid: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """The map applied to a density given by its cumulative on ``grid``."""
-    p_star = float(np.interp(0.5, cum, grid))
+    p_star = float(np.interp(0.5 * cum[-1], cum, grid))
     shape = np.where(grid <= p_star, cum, cum[-1] - cum)
     norm = float(np.trapezoid(shape, grid))
     if norm <= 0.0:

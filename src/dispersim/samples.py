@@ -1,10 +1,30 @@
-"""Weighted observation samples shared by the readers and the estimators."""
+"""Weighted observation samples shared by the readers and the estimators.
+
+Sums of weights are taken on weights scaled by a power of two, by
+:func:`unit_scaled`: the scaling is exact and commutes with rounding while
+results stay normal, so such a sum has the bits of the plain one wherever
+every plain partial sum is normal, and cannot overflow on the way.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def unit_scaled(x: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` scaled per group by a power of two, and each group's exponent.
+
+    Group ``i`` is ``x[bounds[i]:bounds[i + 1]]`` (the whole of ``x`` when
+    ``bounds`` is None) and is divided by ``2 ** exponents[i]``, which puts
+    its largest entry in ``[0.5, 1)``. The scaling is exact, and
+    ``np.ldexp`` of a result and the exponents scales it back.
+    """
+    if bounds is None:
+        bounds = [0, x.size]
+    exponents = np.frexp(np.maximum.reduceat(x, bounds[:-1]))[1]
+    return np.ldexp(x, -np.repeat(exponents, np.diff(bounds))), exponents
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +63,12 @@ class Sample:
 
     @property
     def total_weight(self) -> float:
-        return float(self.weights.sum())
+        """Sum of the weights, taken scaled: ``inf`` past the float range."""
+        if self.size == 0:
+            return 0.0
+        weights, (exponent,) = unit_scaled(self.weights)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(weights.sum(), exponent))
 
     def sorted(self) -> "Sample":
         """Copy ordered by value, weights carried along, in the stable order.

@@ -165,6 +165,27 @@ def test_criterion_8_price_drift_follows_excess_demand():
         assert walras_rhs(mu_m, mu_m, gain, demand, supply) == 0.0
 
 
+def test_criterion_10_mixture_matches_sampled_prices():
+    """1e6 sampled prices within KS 2e-3 of the mixture's cumulative, < 10 s.
+
+    Gaps come from the mean-price walk (omega0 1, D 0.045, T 1, so a
+    lognormal gap law with omega 0.3) and prices are g + g * Laplace(0, 1).
+    The trapezoid cumulative on [-20, 40] at 20 001 nodes loses a negligible
+    tail; on [-6, 12] it would drop 1.4e-3 of the mass.
+    """
+    start = time.perf_counter()
+    params = SdeParams(omega0=1.0, noise_amp=0.045, dt=1e-3, horizon=1.0,
+                       n_paths=1_000_000, seed=0)
+    gaps = simulate_mean_price(params).terminal
+    prices = gaps + gaps * np.random.default_rng(0).laplace(0.0, 1.0, gaps.size)
+    grid = np.linspace(-20.0, 40.0, 20_001)
+    density = mixture_density(grid, LognormalParams(gamma=1.0, omega=0.3))
+    cum = cumulative_trapezoid(density, grid, initial=0.0)
+    ks = ks_statistic(Sample(prices), lambda x: np.interp(x, grid, cum))
+    assert ks < 2e-3
+    assert time.perf_counter() - start < 10.0
+
+
 CLI_CONFIGS = {
     "fixed-point": """\
 grid.min = 0

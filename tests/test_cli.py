@@ -33,7 +33,6 @@ from dispersim.samples import Sample
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIXED_POINT_CFG = """\
-seed = 5
 grid.min = 0
 grid.max = 2
 grid.points = 201
@@ -142,10 +141,9 @@ def test_manifest_reproduces_the_effective_run(tmp_path):
     lines = (out / "manifest.txt").read_text().splitlines()
     assert lines[0] == "command = fixed-point"
     assert lines[1] == f"version = {__version__}"
-    assert lines[2] == "seed = 5"
-    assert lines[3] == "artifacts = density.csv summary.txt"
-    # config keys echoed sorted, with the seed key folded into the seed line
-    assert lines[4:] == [
+    assert lines[2] == "artifacts = density.csv summary.txt"
+    # config keys echoed sorted, as given
+    assert lines[3:] == [
         "fixedpoint.tol = 1e-2",
         "grid.max = 2",
         "grid.min = 0",
@@ -208,7 +206,7 @@ def test_kinetic_vanishing_inflow_shape_exits_2_without_artifacts(tmp_path, caps
     code, out = _run(tmp_path, "simulate-kinetic", VANISHING_INFLOW_CFG)
     assert code == 2
     assert "inflow shape vanishes" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -266,7 +264,7 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, command, key, word):
     code, out = _run(tmp_path, command, cfg)
     assert code == 1
     assert f"config key {key!r} must be a finite number" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path):
@@ -286,7 +284,7 @@ def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("dispersim: error: the books overflow")
     assert done.stderr.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_keys_the_run_would_ignore_exit_1(tmp_path, capsys):
@@ -301,7 +299,7 @@ def test_keys_the_run_would_ignore_exit_1(tmp_path, capsys):
     code, _ = _run(tmp_path, "fixed-point", cfg)
     assert code == 1
     assert "fixedpoint.init_mu" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_initial_state_keys_are_used_where_they_apply(tmp_path):
@@ -472,6 +470,32 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert (out_a / "terminal.csv").read_text() != (out_b / "terminal.csv").read_text()
 
 
+@pytest.mark.parametrize("command", ["fixed-point", "mixture", "fit", "normalize"])
+def test_a_subcommand_that_draws_nothing_refuses_a_seed(tmp_path, capsys, command):
+    cfg = _valid_configs(tmp_path)[command]
+    for text, extra in [(cfg + "seed = 3\n", ()), (cfg, ("--seed", "3"))]:
+        code, out = _run(tmp_path, command, text, extra=extra)
+        assert code == 1
+        assert "unknown config keys: seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_simulator_seed_defaults_to_0(tmp_path):
+    # simulate-kinetic reads the seed even without jitter, when it draws nothing
+    for n, (command, cfg) in enumerate([
+        ("simulate-kinetic", KINETIC_CFG + "kinetic.jitter = 0.2\n"),
+        ("simulate-kinetic", KINETIC_CFG),
+        ("simulate-meanprice", SDE_CFG.replace("seed = 3\n", "")),
+    ]):
+        code_a, out_a = _run(tmp_path, command, cfg, f"out{n}_a")
+        code_b, out_b = _run(tmp_path, command, "seed = 0\n" + cfg, f"out{n}_b")
+        assert code_a == code_b == 0
+        bytes_a, bytes_b = _dir_bytes(out_a), _dir_bytes(out_b)
+        manifest_a, manifest_b = bytes_a.pop("manifest.txt"), bytes_b.pop("manifest.txt")
+        assert bytes_a == bytes_b
+        assert b"seed" not in manifest_a and b"\nseed = 0\n" in manifest_b
+
+
 def test_mixture_command_writes_density(tmp_path):
     code, out = _run(tmp_path, "mixture", MIXTURE_CFG)
     assert code == 0
@@ -542,7 +566,7 @@ def test_fit_refuses_negative_or_inverted_shift_bounds_with_exit_1(tmp_path, cap
     code, out = _run(tmp_path, "fit", cfg)
     assert code == 1
     assert "shift bounds must satisfy 0 <= lo <= hi" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_failed_fit_reruns_leave_the_output_directory_untouched(tmp_path, capsys):
@@ -589,7 +613,7 @@ def test_fit_laplace_below_the_floor_exits_2_without_artifacts(tmp_path, capsys)
     code, out = _run(tmp_path, "fit", f"fit.input = {sample_path}\nfit.family = laplace\n")
     assert code == 2
     assert "weighted median -0.5 lies below the price floor 0.0" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_fit_lognormal_on_the_clamp_exits_2_without_artifacts(tmp_path, capsys):
@@ -601,15 +625,15 @@ def test_fit_lognormal_on_the_clamp_exits_2_without_artifacts(tmp_path, capsys):
     code, out = _run(tmp_path, "fit", cfg)
     assert code == 2
     assert "no local maximum in [0.0, " in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
-def _fit_in_child(tmp_path, rows, cfg):
+def _fit_in_child(tmp_path, rows, cfg, header="value"):
     """Run ``dispersim fit`` on ``rows`` in a child that turns warnings into errors.
 
     The timeout fails a search that never ends instead of hanging the suite.
     """
-    sample_path = _write(tmp_path, "s.csv", "value\n" + rows)
+    sample_path = _write(tmp_path, "s.csv", f"{header}\n{rows}")
     config = _write(tmp_path, "fit.cfg", f"fit.input = {sample_path}\n{cfg}")
     out = tmp_path / "out"
     done = subprocess.run(
@@ -632,7 +656,7 @@ def test_fit_lognormal_of_subnormal_values_ends(tmp_path):
         tmp_path, "1e-320\n2e-320\n3e-320\n5e-320\n", "fit.family = shifted-lognormal\n")
     assert done.returncode == 2
     assert done.stderr.startswith("dispersim: error: the shift profile has no local maximum")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_fit_laplace_whose_deviations_overflow_exits_2_without_artifacts(tmp_path):
@@ -644,6 +668,20 @@ def test_fit_laplace_whose_deviations_overflow_exits_2_without_artifacts(tmp_pat
     assert done.stderr == ("dispersim: error: the mean absolute deviation about 1e+308 "
                            "overflows\n")
     assert _dir_bytes(out) == {"keep.txt": b"kept\n"}
+
+
+@pytest.mark.parametrize("weight", ["1", "1e308"])
+def test_fit_of_weights_whose_plain_sums_overflow_matches_unit_weights(tmp_path, weight):
+    rows = "".join(f"{v},{weight}\n" for v in (1, 2, 3))
+    done, out = _fit_in_child(tmp_path, rows, "fit.family = laplace\n", "value,weight")
+    assert (done.returncode, done.stderr) == (0, "")
+    fit = parse_config((out / "fit.txt").read_text())
+    assert (fit["mu"], fit["sigma"]) == ("2.0", "0.6666666666666666")
+    # -3e308 * (log(4/3) + 1) rounds to -inf
+    assert float(fit["loglik"]) == (-np.inf if weight == "1e308" else -3 * (np.log(4 / 3) + 1))
+    done, out = _fit_in_child(tmp_path, rows, "fit.family = shifted-lognormal\n", "value,weight")
+    assert done.returncode == 2
+    assert done.stderr.startswith("dispersim: error: the shift profile has no local maximum")
 
 
 def test_fit_missing_input_file_exits_1(tmp_path, capsys):
@@ -687,7 +725,7 @@ def test_normalize_underflowing_group_exits_2_without_artifacts(tmp_path, capsys
     code, out = _run(tmp_path, "normalize", f"normalize.input = {data_path}\n")
     assert code == 2
     assert "milk" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_normalize_overflowing_group_exits_2_and_leaves_out_untouched(tmp_path, capsys):

@@ -319,6 +319,16 @@ def test_normalize_rescales_a_group_whose_sums_overflow():
     assert tiny.values.tolist() == [1.0]
 
 
+def test_normalize_keeps_groups_whose_plain_products_are_subnormal():
+    # each plain p * q keeps only some of its bits, and the plain formula's
+    # weighted mean misses 1 by 1.6e-4 on the single row
+    one = normalize_prices(_table(f"{HEADER_LINE}\na,n,q,3e-320,0.3\n"))
+    assert (one.mu0.tolist(), one.values.tolist()) == ([3e-320], [1.0])
+    pair = normalize_prices(_table(f"{HEADER_LINE}\na,n,q,1e-310,0.7\na,s,q,3e-310,0.9\n"))
+    assert pair.mu0[0] == pytest.approx(2.125e-310, rel=1e-13)
+    assert _weighted_means(pair)[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_normalize_rescales_the_mean_check_of_a_group_whose_quantities_overflow():
     # the quantity total is inf, so the plain weighted mean is inf / inf = nan
     table = _table(

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,21 +297,74 @@ def _assert_same_tables(new: TransactionTable, ref: TransactionTable) -> None:
     np.testing.assert_array_equal(new.quantity, ref.quantity)
 
 
+def _exactly_in_range(table: TransactionTable, grouping: str, weighted: bool) -> bool:
+    """Whether every group's exact mean price is at least ``2**-1000`` and its
+    exact normalized prices lie within a factor ``2**1000`` of 1.
+
+    Rational arithmetic on the floats' exact values: such a group has a
+    normal ``mu0`` and normalized prices far from both ends of the float
+    range, so ``normalize_prices`` has no reason to refuse it.
+    """
+    depth, bound = _GROUP_DEPTH[grouping], Fraction(2) ** 1000
+    groups: dict[tuple[str, ...], list[tuple[Fraction, Fraction]]] = defaultdict(list)
+    for *key, price, quantity in zip(table.good_id, table.market_id, table.quarter,
+                                     table.price.tolist(), table.quantity.tolist()):
+        groups[tuple(key[:depth])].append(
+            (Fraction(price), Fraction(quantity) if weighted else Fraction(1)))
+    for rows in groups.values():
+        mu0 = sum(p * q for p, q in rows) / sum(q for _, q in rows)
+        if mu0 < 1 / bound or not all(1 / bound <= p / mu0 <= bound for p, _ in rows):
+            return False
+    return True
+
+
+def _assert_contract(table: TransactionTable, grouping: str, weighted: bool) -> None:
+    """The documented outcome of ``normalize_prices``: a positive finite
+    ``mu0`` and, under the weighted convention, a quantity-weighted mean of
+    each group's normalized prices within 1e-12 of 1, taken on quantities
+    scaled as it scales them. It refuses only a table with a group out of
+    ``_exactly_in_range``."""
+    try:
+        groups = normalize_prices(table, grouping, weighted)
+    except ModelError:
+        assert not _exactly_in_range(table, grouping, weighted)
+        return
+    assert np.all((0.0 < groups.mu0) & (groups.mu0 < math.inf))
+    if not weighted:
+        return
+    for lo, hi in zip(groups.bounds[:-1], groups.bounds[1:]):
+        weights = groups.weights[lo:hi]
+        weights = np.ldexp(weights, -np.frexp(weights.max())[1])
+        assert abs(reference_weighted_mean(groups.values[lo:hi], weights) - 1.0) <= 1e-12
+
+
+def _normalized_or_refused(normalize, table, grouping, weighted):
+    try:
+        return normalize(table, grouping, weighted)
+    except ModelError:
+        return ModelError
+
+
 def _assert_same_groups(table: TransactionTable) -> None:
     for grouping in GROUPINGS:
         for weighted in (True, False):
+            # Where every step of the plain and of the scaled formula stays a
+            # normal float, or is exact, the two agree bit for bit. A step
+            # that overflows or rounds into the subnormal range raises here;
+            # the plain formula is then no reference (a subnormal product
+            # keeps only some of its bits), and the documented contract is
+            # checked instead.
             try:
-                # plain sums that overflow, or products that underflow to a
-                # zero mu0, leave the float range; see the overflow test
-                with np.errstate(over="ignore", divide="ignore"):
-                    ref = reference_normalize_prices(table, grouping, weighted)
-            except ValueError:
+                with np.errstate(all="raise"):
+                    ref = _normalized_or_refused(
+                        reference_normalize_prices, table, grouping, weighted)
+                    new = _normalized_or_refused(normalize_prices, table, grouping, weighted)
+            except FloatingPointError:
+                _assert_contract(table, grouping, weighted)
                 continue
-            except ModelError:
-                with pytest.raises(ModelError):
-                    normalize_prices(table, grouping, weighted)
+            if ref is ModelError or new is ModelError:
+                assert ref is new
                 continue
-            new = normalize_prices(table, grouping, weighted)
             keys, mu0, values, weights = zip(*ref)
             assert new.keys == keys
             assert new.mu0.tolist() == list(mu0)
@@ -354,6 +408,8 @@ def _check_departure(text: str, new) -> bool:
 @example(text=f"{','.join(HEADER)}\nmilk,n,q,1,2\rmilk,n,q,1,2\r")
 @example(text=f'{",".join(HEADER)}\nmilk,n,q,1,2\n"milk,n,q,1,2\n')
 @example(text=f"{','.join(HEADER)}\nmilk,n,q,1e200,1e200\nmilk,s,q,2e200,1e200\n")
+@example(text=f"{','.join(HEADER)}\na,n,q,3e-320,0.3\n")
+@example(text=f"{','.join(HEADER)}\na,n,q,1e-310,0.7\na,s,q,3e-310,0.9\n")
 @example(text=next(iter(DEPARTURES)))
 @example(text=list(DEPARTURES)[1])
 @example(text=list(DEPARTURES)[2])

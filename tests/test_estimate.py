@@ -71,6 +71,27 @@ def test_weights_act_as_multiplicities():
     assert weighted.ks_distance == pytest.approx(expanded.ks_distance, rel=1e-14)
 
 
+def test_weights_whose_plain_sums_overflow_fit_like_unit_weights():
+    values = np.array([1.0, 2.0, 3.0])
+    unit = Sample(values)
+    huge = Sample(values, np.full(3, 1e308))
+    fit = fit_laplace(huge)
+    assert (fit.params.mu, fit.params.sigma) == (2.0, fit_laplace(unit).params.sigma)
+    assert fit.log_likelihood == -np.inf  # -3e308 * (log(4/3) + 1) rounds to -inf
+    assert fit.ks_distance == fit_laplace(unit).ks_distance
+    assert ks_statistic(huge, lambda x: x / 4.0) == ks_statistic(unit, lambda x: x / 4.0)
+    grid = uniform_grid(0.0, 2.0, 5)
+    (law, dropped), (unit_law, unit_dropped) = histogram(huge, grid), histogram(unit, grid)
+    np.testing.assert_array_equal(law.density, unit_law.density)
+    assert dropped == unit_dropped == pytest.approx(1.0 / 3.0)
+    with pytest.raises(DegenerateSample, match="no local maximum"):
+        fit_shifted_lognormal(huge)
+    # where the log-likelihood is a normal float it has the plain formula's bits
+    large = fit_laplace(Sample(values, np.full(3, 1e307)))
+    plain = -np.full(3, 1e307).sum() * (np.log(2.0 * large.params.sigma) + 1.0)
+    assert large.log_likelihood == plain
+
+
 def test_fit_laplace_degenerate_inputs():
     with pytest.raises(DegenerateSample):
         fit_laplace(Sample(np.array([2.0, 2.0, 2.0])))

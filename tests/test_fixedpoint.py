@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from dispersim.errors import NonConvergence, ZeroMass
 from dispersim.estimate import fit_laplace
 from dispersim.fixedpoint import FixedPointResult, fixed_point_map, fixed_point_solve
-from dispersim.grids import trapezoid, uniform_grid
+from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
 from dispersim.laws import LaplaceParams, laplace_density
 from dispersim.samples import Sample
 
@@ -46,6 +46,14 @@ def test_two_sided_exponential_maps_almost_onto_itself():
     cum_out = cumulative_trapezoid(out, grid, initial=0.0)
     # the only motion is the window-truncation correction
     assert np.max(np.abs(cum_out / cum_out[-1] - cum_in / cum_in[-1])) < 1e-3
+
+
+@pytest.mark.parametrize("mass", [0.45, 3.0])
+def test_map_keeps_the_median_of_a_seed_of_any_mass(mass):
+    grid = uniform_grid(0.0, 2.0, 4001)
+    seed = mass * laplace_density(grid, LaplaceParams(mu=1.0, sigma=0.1))
+    out = GriddedDistribution(grid, fixed_point_map(grid, seed))
+    assert abs(out.median() - 1.0) <= grid[1] - grid[0]
 
 
 def test_solver_accepts_self_consistent_seed_in_one_sweep():

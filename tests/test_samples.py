@@ -15,6 +15,13 @@ def test_default_weights_are_unit():
     assert s.total_weight == 3.0
 
 
+def test_total_weight_is_the_exact_sum_rounded_once():
+    # the second total lies past the float range: inf, with no overflow
+    # warning, which pytest would turn into an error
+    assert Sample(np.array([1.0, 2.0]), np.array([1e308, 5e307])).total_weight == 1.5e308
+    assert Sample(np.array([1.0, 2.0, 3.0]), np.full(3, 1e308)).total_weight == np.inf
+
+
 def test_empty_sample_is_allowed():
     s = Sample(np.array([]))
     assert s.size == 0
