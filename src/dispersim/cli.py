@@ -72,12 +72,22 @@ from .laws import (
 from .meanprice import SdeParams, simulate_mean_price
 
 
+#: Most characters ``atomic_write_text`` encodes at a time.
+_WRITE_CHARS = 1 << 20
+
+
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
+    """Write ``text`` to ``path`` via a temp file in the same directory.
+
+    The text is encoded and written in slices of at most ``_WRITE_CHARS``
+    characters, never as one whole encoded copy. UTF-8 encodes each
+    character on its own, so the bytes are those of the whole text.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         try:

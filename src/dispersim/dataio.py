@@ -9,10 +9,14 @@ the groups (one standard deviation each) feed the shifted lognormal fit.
 
 The path is columnar. Transaction tables and samples go through one CSV
 reader: it checks the header against the accepted ones, parses the body in
-one pass of numpy's C text reader into a column per header field, and
-builds the result, whose constructor validates the columns. Only when the
-parse or the build fails does it re-read the file record by record, under
-one row check driven by the header's columns, to name the first bad row.
+one pass of numpy's C text reader into a record array with a field per
+header column, and builds the result on views of those fields, whose
+constructor validates them. Each id passes through a per-read table of the
+ids seen so far, so a loaded table holds one ``str`` object per distinct
+id, not one per row; the table goes with the read, so no id outlives the
+tables that hold it. Only when the parse or the build fails does the reader
+re-read the file record by record, under one row check driven by the
+header's columns, to name the first bad row.
 Grouping sorts the rows once by integer group codes, so each group is a
 contiguous slice of the columns of one result, which the spread statistics
 and the writer read in place. Per-group sums are taken by size bucket: the
@@ -29,6 +33,11 @@ normal, so wherever every plain and scaled product and partial sum is a
 normal number (prices and quantities each spanning less than about 150
 decades in a group), each mean and spread has the bits of the plain
 per-group formula.
+
+The writer formats one block of at most ``_WRITE_ROWS`` rows of one group
+at a time from that slice's ``tolist()``, so beside the text it returns
+only one block's row strings and floats exist at once. Blocks change which
+Python objects exist, not what is formatted, so the text keeps its bytes.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ GROUPINGS = ("good", "good+market", "good+market+quarter")
 
 #: How many leading id columns each grouping level keys on.
 _GROUP_DEPTH = {"good": 1, "good+market": 2, "good+market+quarter": 3}
+
+#: Most rows ``write_normalized_samples`` formats at a time.
+_WRITE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,15 +216,29 @@ def _check_row(header: tuple[str, ...], row_number: int, row: list[str]) -> None
             raise MalformedRow(row_number, f"{name} must be positive and finite, got {text}")
 
 
+class _SharedIds(dict):
+    """The ids read so far, each keyed by itself.
+
+    Looking a field up returns the first ``str`` equal to it, so every
+    occurrence of an id is one object.
+    """
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+
 def _read_csv(source, kind: str, headers, build):
     """``build`` the records of ``source`` under one of the accepted ``headers``.
 
     The first nonblank record must equal one of ``headers``; the body is
     parsed in one pass of numpy's C text reader into a record array with a
-    field per column (ids as ``object``, numbers as ``float``). numpy's
-    reader and ``build``'s validation both raise ValueError. The records
-    are then re-read from the header and ``_check_row`` raises MalformedRow
-    at the first bad one; if none is bad, numpy's error stands.
+    field per column (ids as ``object``, numbers as ``float``). The reader
+    hands each id field, unquoted, to a converter that looks it up in one
+    ``_SharedIds`` per read. numpy's reader and ``build``'s validation both
+    raise ValueError. The records are then re-read from the header and
+    ``_check_row`` raises MalformedRow at the first bad one; if none is bad,
+    numpy's error stands.
     """
     with _open_text(source) as stream:
         start = stream.tell()
@@ -225,12 +251,15 @@ def _read_csv(source, kind: str, headers, build):
                 row_number, "header must be " + " or ".join(repr(",".join(h)) for h in headers)
             )
         dtype = np.dtype([(name, object if name in _ID_COLUMNS else float) for name in header])
+        shared = _SharedIds().__getitem__
+        converters = {i: shared for i, name in enumerate(header) if name in _ID_COLUMNS}
         try:
             with warnings.catch_warnings():
                 # a body of blank lines is an empty table, not a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 data = np.loadtxt(
-                    stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                    stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                    converters=converters,
                 )
             return build(data)
         except ValueError as error:
@@ -271,7 +300,7 @@ def load_transactions(source) -> TransactionTable:
     """
     return _read_csv(
         source, "transaction", (HEADER,),
-        lambda data: TransactionTable(*(np.ascontiguousarray(data[name]) for name in HEADER)),
+        lambda data: TransactionTable(*(data[name] for name in HEADER)),
     )
 
 
@@ -328,11 +357,12 @@ def normalize_prices(
     ValueError
         If ``grouping`` is not one of ``GROUPINGS``.
     ModelError
-        If a group's normalized prices underflow to 0 or overflow, or its
-        quantity-weighted mean under the weighted convention is not finite
-        or misses 1 by more than 1e-12. The first such group in key order
-        is named, and within it the first of these checks that fails, in
-        that order.
+        If a group's mean price underflows to 0 (its scaled products all
+        underflow), its normalized prices underflow to 0 or overflow, or
+        its quantity-weighted mean under the weighted convention is not
+        finite or misses 1 by more than 1e-12. The first such group in key
+        order is named, and within it the first of these checks that fails,
+        in that order.
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
@@ -373,7 +403,10 @@ def normalize_prices(
             failing |= ~(np.abs(means - 1.0) <= 1e-12)  # NaN fails too
     if failing.any():
         i = int(np.argmax(failing))  # the first failing group in key order
-        if underflows[i]:
+        if mu0[i] == 0.0:
+            # its scaled products underflowed; a quotient by 0.0 would misstate it
+            reason = "mean price underflows to 0"
+        elif underflows[i]:
             reason = f"normalized price {float(lows[i])!r} / {float(mu0[i])!r} underflows to 0"
         elif overflows[i]:
             reason = f"normalized price {float(highs[i])!r} / {float(mu0[i])!r} overflows"
@@ -434,20 +467,22 @@ def write_normalized_samples(groups: NormalizedGroups) -> str:
     """Render normalized groups as ``group_key,value,weight`` rows.
 
     Key components are joined with ``|`` into a single field, quoted as
-    the ``csv`` module quotes it.
+    the ``csv`` module quotes it. Rows are formatted a block of at most
+    ``_WRITE_ROWS`` rows of one group at a time (see the module notes).
     """
     label_buffer = io.StringIO()
     label_writer = csv.writer(label_buffer, lineterminator="\n")
     parts = ["group_key,value,weight\n"]
     bounds = groups.bounds.tolist()
-    values, weights = groups.values.tolist(), groups.weights.tolist()
     for key, lo, hi in zip(groups.keys, bounds[:-1], bounds[1:]):
         label_buffer.seek(0)
         label_buffer.truncate()
         label_writer.writerow(("|".join(key), ""))
         label = label_buffer.getvalue()[:-2]  # drop the empty field's ",\n"
-        rows = zip(values[lo:hi], weights[lo:hi])
-        parts += [f"{label},{value!r},{weight!r}\n" for value, weight in rows]
+        for start in range(lo, hi, _WRITE_ROWS):
+            block = slice(start, min(start + _WRITE_ROWS, hi))
+            rows = zip(groups.values[block].tolist(), groups.weights[block].tolist())
+            parts.append("".join([f"{label},{value!r},{weight!r}\n" for value, weight in rows]))
     return "".join(parts)
 
 
@@ -456,8 +491,8 @@ def _build_sample(data) -> Sample:
     if data.size == 0:
         raise EmptyInput("sample stream holds a header but no data")
     return Sample(
-        values=np.ascontiguousarray(data["value"]),
-        weights=np.ascontiguousarray(data["weight"]) if "weight" in data.dtype.names else None,
+        values=data["value"],
+        weights=data["weight"] if "weight" in data.dtype.names else None,
     )
 
 

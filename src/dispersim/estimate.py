@@ -8,6 +8,13 @@ overflow them. Each fit returns a :class:`FitResult` carrying the family
 name, the estimates, the attained log-likelihood, and the weighted
 Kolmogorov-Smirnov distance against the fitted law itself. Everything here
 is numpy: the shifted lognormal shift is found by nested grid scans.
+
+Full-length temporaries are few. The Laplace fit takes its deviations in
+one buffer with ``out=`` ufuncs. The KS distance turns the fit's cumulative
+weights into fractions in place, and evaluates the model cumulative and the
+largest gap in blocks of ``_KS_BLOCK`` values. Element-wise ufuncs give the
+same bits in any block, the maximum is exact, and every full-length
+``np.sum`` and ``np.cumsum`` is taken as before, so blocks change no result.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
 #: bounds width.
 _SCAN_NODES = 65
 _SCAN_LEVELS = 5
+
+#: Values whose model cumulative and gap the KS distance takes at a time.
+_KS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,18 @@ def fit_laplace(sample: Sample) -> FitResult:
         raise DegenerateSample(f"weighted median {mu!r} lies below the price floor 0.0")
     with np.errstate(over="ignore"):
         # deviations past the float range are refused below
-        sigma = float(np.sum(weights * np.abs(values - mu)) / total)
+        deviations = np.subtract(values, mu)
+        np.abs(deviations, out=deviations)
+        np.multiply(weights, deviations, out=deviations)
+        sigma = float(np.sum(deviations) / total)
+    del deviations
     if not sigma < np.inf:
         raise DegenerateSample(f"the mean absolute deviation about {mu!r} overflows")
     if sigma <= 0.0:
         raise DegenerateSample("all observations coincide; scale is zero")
     params = LaplaceParams(mu=mu, sigma=sigma, mu_m=0.0)
     loglik = _scaled_back(-total * (np.log(2.0 * sigma) + 1.0), exponent)
-    ks = _ks_of_sorted(values, weights, lambda x: laplace_cdf(x, params))
+    ks = _ks_of_sorted(values, cum, total, lambda x: laplace_cdf(x, params))
     return FitResult(
         family=FAMILY_LAPLACE,
         params=params,
@@ -229,7 +243,7 @@ def fit_shifted_lognormal(
         gamma=float(np.exp(mean)), omega=float(np.sqrt(var)), shift=shift
     )
     loglik = _scaled_back(-total * (0.5 * np.log(2.0 * np.pi * var) + 0.5 + mean), exponent)
-    ks = _ks_of_sorted(values, weights, lambda x: lognormal_cdf(x, params))
+    ks = _ks_of_sorted(values, np.cumsum(weights), total, lambda x: lognormal_cdf(x, params))
     return FitResult(
         family=FAMILY_SHIFTED_LOGNORMAL,
         params=params,
@@ -246,22 +260,32 @@ def ks_statistic(sample: Sample, cdf) -> float:
     probabilities. The empirical cumulative steps by weight fractions and
     the distance takes the larger deviation on either side of each step,
     which for unit weights is the classical
-    ``max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|)``.
+    ``max(|i/n - F(x_i)|, |(i-1)/n - F(x_i)|)``. ``cdf`` is called on
+    consecutive blocks of the sorted values, so it must act element-wise.
     """
     if sample.size == 0:
         raise DegenerateSample("cannot compare an empty sample to a law")
-    return _ks_of_sorted(*_sorted_scaled(sample)[:2], cdf)
+    values, weights, _ = _sorted_scaled(sample)
+    return _ks_of_sorted(values, np.cumsum(weights), weights.sum(), cdf)
 
 
-def _ks_of_sorted(values, weights, cdf) -> float:
-    """``ks_statistic`` of nonempty values in ascending order, with their
-    weights scaled as :func:`_sorted_scaled` scales them."""
-    fractions = np.cumsum(weights) / weights.sum()
-    model = np.asarray(cdf(values), dtype=float)
-    below = np.concatenate(([0.0], fractions[:-1]))
-    return float(
-        np.max(np.maximum(np.abs(fractions - model), np.abs(below - model)))
-    )
+def _ks_of_sorted(values, cum, total, cdf) -> float:
+    """``ks_statistic`` of nonempty values in ascending order.
+
+    ``cum`` is the cumulative sum and ``total`` the sum of their weights,
+    scaled as :func:`_sorted_scaled` scales them; ``cum`` is overwritten
+    with the empirical fractions. The model cumulative and the gaps are
+    taken ``_KS_BLOCK`` values at a time (see the module notes).
+    """
+    fractions = np.divide(cum, total, out=cum)
+    worst = 0.0
+    for lo in range(0, values.size, _KS_BLOCK):
+        hi = min(lo + _KS_BLOCK, values.size)
+        model = np.asarray(cdf(values[lo:hi]), dtype=float)
+        below = fractions[lo - 1:hi - 1] if lo else np.concatenate(([0.0], fractions[:hi - 1]))
+        gaps = np.maximum(np.abs(fractions[lo:hi] - model), np.abs(below - model))
+        worst = np.maximum(worst, gaps.max())  # a NaN gap stays NaN
+    return float(worst)
 
 
 def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
@@ -286,9 +310,12 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     h = float(spacing[0])
     with np.errstate(over="ignore"):
         # a value far off the grid may land on an infinite position
-        position = np.rint((sample.values - grid[0]) / h)
+        position = np.subtract(sample.values, grid[0])
+        np.divide(position, h, out=position)
+        np.rint(position, out=position)
     # mask before the cast: a position beyond the int range has no int
     inside = (position >= 0) & (position < grid.size)
+    position = position[inside]
     # weights scaled so that no sum of them overflows; where none would, the
     # kept fraction and the normalized law keep their bits
     weights, _ = unit_scaled(sample.weights)
@@ -298,5 +325,5 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     if kept <= 0.0:
         raise DegenerateSample("every observation falls outside the grid")
     counts = np.zeros(grid.size)
-    np.add.at(counts, position[inside].astype(int), weights)
+    np.add.at(counts, position.astype(int), weights)
     return GriddedDistribution.from_density(grid, counts), 1.0 - kept / total

@@ -23,6 +23,9 @@ from .errors import QuadratureError
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
+#: Most elements of one ``(prices, 2, m)`` quadrature temporary.
+_MIXTURE_BLOCK = 1 << 20
+
 # ---------------------------------------------------------------------------
 # Two-sided exponential (Laplace)
 # ---------------------------------------------------------------------------
@@ -261,6 +264,13 @@ def mixture_density(
     and 2m-node results agree to ``rel_tol`` of the density peak; ``n_nodes``
     caps the nodes per panel.
 
+    Each rule is applied to blocks of prices whose ``(block, 2, m)``
+    temporaries hold at most ``_MIXTURE_BLOCK`` elements, so a run that
+    refines to many nodes needs memory bounded in the prices. Every step
+    but the product with the weights is element-wise, and that product
+    takes each price's row on its own, so a price's density has the same
+    bits in any block.
+
     Raises
     ------
     QuadratureError
@@ -283,11 +293,16 @@ def mixture_density(
 
     def integrate(m: int) -> np.ndarray:
         x, w = _legendre_rule(m)
-        t = mid[:, :, None] + half[:, :, None] * x
-        gap = shift + gamma * np.exp(omega * t)
-        scale = conditional_scale * gap
-        f = np.exp(-0.5 * t**2 - np.abs(p[:, None, None] - floor - gap) / scale) / scale
-        return ((f @ w) * half).sum(axis=1) / (2.0 * np.sqrt(2.0 * np.pi))
+        density = np.empty(p.size)
+        rows = max(1, _MIXTURE_BLOCK // (2 * m))
+        for lo in range(0, p.size, rows):
+            block = slice(lo, lo + rows)
+            t = mid[block, :, None] + half[block, :, None] * x
+            gap = shift + gamma * np.exp(omega * t)
+            scale = conditional_scale * gap
+            f = np.exp(-0.5 * t**2 - np.abs(p[block, None, None] - floor - gap) / scale) / scale
+            density[block] = ((f @ w) * half[block]).sum(axis=1)
+        return density / (2.0 * np.sqrt(2.0 * np.pi))
 
     m = min(32, n_nodes // 2)
     fine = integrate(m)

@@ -742,8 +742,18 @@ def test_normalize_overflowing_group_exits_2_and_leaves_out_untouched(tmp_path, 
     # pytest turns numpy's RuntimeWarnings into errors, so none is raised
     code, _ = _run(tmp_path, "normalize", f"normalize.input = {data_path}\n")
     assert code == 2
-    assert "group ('milk',): normalized price 1e+300 / 0.0 overflows" in capsys.readouterr().err
+    assert "group ('milk',): mean price underflows to 0" in capsys.readouterr().err
     assert _dir_bytes(out) == before
+
+
+def test_normalize_of_a_mean_price_that_underflows_says_so(tmp_path, capsys):
+    # the exact quantity-weighted mean is 1e-323, but every scaled product
+    # underflows, so mu0 comes out 0.0: the reason must not divide by it
+    rows = "good_id,market_id,quarter,price,quantity\na,n,q,1.0,5e-324\na,n,q,5e-324,1.0\n"
+    code, out = _run(tmp_path, "normalize", f"normalize.input = {_write(tmp_path, 't.csv', rows)}\n")
+    assert code == 2
+    assert capsys.readouterr().err == "dispersim: error: group ('a',): mean price underflows to 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("weighted", ["true", "false"])

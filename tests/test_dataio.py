@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import math
@@ -50,6 +51,21 @@ def test_load_parses_fields():
     assert table.quarter[0] == "2011Q1"
     assert table.price[0] == 1.25
     assert table.quantity[0] == 3.0
+
+
+def test_a_loaded_table_holds_one_str_object_per_distinct_id():
+    # quoted ids, an embedded comma, a quoted CR and LF, and ids with
+    # Unicode whitespace all go through the reader's shared-id table
+    ids = [("milk-1", "north", "2011Q1"), ('say "hi"', "a,b", "x\r\ny"),
+           ("\u2003 rice\u2003", "\x1cwest\x1c", " 2011Q2 ")]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerows([dataio.HEADER, *([*ids[k % 3], 1.0 + k, k % 4 + 1] for k in range(12))])
+    table = load_transactions(io.StringIO(text.getvalue(), newline=""))
+    for n, name in enumerate(("good_id", "market_id", "quarter")):
+        column = getattr(table, name)
+        assert column.tolist() == [ids[k % 3][n] for k in range(12)]
+        assert len({id(i) for i in column}) == len(set(column.tolist())) == 3
 
 
 def test_load_skips_blank_lines_but_keeps_physical_row_numbers():
@@ -278,10 +294,14 @@ def test_normalize_refuses_a_group_whose_weighted_mean_misses_one(monkeypatch):
 
 
 def test_normalize_refuses_a_group_whose_normalized_prices_overflow():
+    # the weighted mean is about 1e-300, which puts 1e10 / mu0 near 1e310
+    overflow = r"^group \('milk',\): normalized price 10000000000\.0 / 1\.0\d*e-300 overflows$"
+    with pytest.raises(ModelError, match=overflow):
+        normalize_prices(_table(f"{HEADER_LINE}\nmilk,a,q,1e-300,1e300\nmilk,b,q,1e10,1e-300\n"))
     # every scaled product underflows, so mu0 is 0; the exact mean is
     # about 5e-109, which puts 1e300 / mu0 near 2e408 anyway
     rows = "milk,a,q,1e-300,1e308\nmilk,b,q,1e-300,1e308\nmilk,c,q,1e300,1e-100\n"
-    message = r"^group \('milk',\): normalized price 1e\+300 / 0\.0 overflows$"
+    message = r"^group \('milk',\): mean price underflows to 0$"
     with pytest.raises(ModelError, match=message):
         normalize_prices(_table(f"{HEADER_LINE}\n{rows}"))
     # the unweighted mean is about 3.3e299, so the smallest price underflows instead

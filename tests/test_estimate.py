@@ -265,6 +265,26 @@ def test_ks_of_single_point_at_model_median():
     assert ks_statistic(Sample(np.array([0.0])), ndtr) == 0.5
 
 
+def test_laplace_fit_and_ks_in_blocks_keep_the_bits_of_the_whole_array_formulas():
+    # three full KS blocks and a part one; the weights are scaled by a power
+    # of two, exactly, as the estimators scale them
+    rng = np.random.default_rng(8)
+    n = 3 * (1 << 16) + 5
+    sample = Sample(rng.laplace(1.0, 0.2, n), rng.integers(1, 6, n).astype(float))
+    ordered = sample.sorted()
+    values, weights = ordered.values, ordered.weights / 8.0
+    total = weights.sum()
+    mu = float(values[np.searchsorted(np.cumsum(weights), 0.5 * total)])
+    sigma = float(np.sum(weights * np.abs(values - mu)) / total)
+    fractions = np.cumsum(weights) / total
+    below = np.concatenate(([0.0], fractions[:-1]))
+    model = laplace_cdf(values, LaplaceParams(mu=mu, sigma=sigma))
+    ks = float(np.max(np.maximum(np.abs(fractions - model), np.abs(below - model))))
+    result = fit_laplace(sample)
+    assert (result.params.mu, result.params.sigma, result.ks_distance) == (mu, sigma, ks)
+    assert ks_statistic(sample, lambda x: laplace_cdf(x, result.params)) == ks
+
+
 def test_ks_rejects_empty_sample():
     with pytest.raises(DegenerateSample):
         ks_statistic(Sample(np.array([])), ndtr)

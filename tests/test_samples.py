@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dispersim.samples import Sample
+from dispersim.samples import Sample, unit_scaled
 
 
 def test_default_weights_are_unit():
@@ -20,6 +20,14 @@ def test_total_weight_is_the_exact_sum_rounded_once():
     # warning, which pytest would turn into an error
     assert Sample(np.array([1.0, 2.0]), np.array([1e308, 5e307])).total_weight == 1.5e308
     assert Sample(np.array([1.0, 2.0, 3.0]), np.full(3, 1e308)).total_weight == np.inf
+
+
+def test_one_group_is_scaled_as_the_grouped_path_scales_it():
+    x = np.array([3e-310, 0.75, 5e-324, 1e308, 2.0])
+    scaled, exponents = unit_scaled(x)
+    grouped, grouped_exponents = unit_scaled(x, np.array([0, x.size]))
+    assert scaled.tobytes() == grouped.tobytes()
+    assert exponents.tolist() == grouped_exponents.tolist() == [1024]
 
 
 def test_empty_sample_is_allowed():
