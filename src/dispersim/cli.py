@@ -104,14 +104,19 @@ def _floats(values) -> list[float]:
 
 
 def _table(header: str, *columns) -> str:
-    """Delimiter-separated table with 17-significant-digit numeric cells."""
+    """Delimiter-separated table with 17-significant-digit numeric cells.
+
+    The cells are formatted in one ``%`` call on a format string of one
+    line a row, filled from the row-major cells.
+    """
+    cells = np.stack(columns, axis=1, dtype=float)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    return header + "\n" + "".join(line % row for row in zip(*map(_floats, columns)))
+    return header + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _column(header: str, values) -> str:
     """One-column table of shortest round-tripping floats."""
-    return header + "\n" + "".join(f"{v!r}\n" for v in _floats(values))
+    return "\n".join([header, *map(repr, _floats(values)), ""])
 
 
 def _keyvalue(pairs) -> str:

@@ -7,6 +7,14 @@ truncation, whatever its scale, so the scale is a neutral direction and the
 map has no attracting fixed point.  On a grid the iterates keep narrowing:
 from a flat seed on 4001 nodes the fitted Laplace scale falls from 0.083 to
 0.0015 over 400 iterations.
+
+One buffered kernel applies the map for both :func:`fixed_point_map` and
+:func:`fixed_point_solve`: it takes the grid's steps once and writes the
+median mask, the trapezoid areas and the image into arrays allocated once,
+so an iteration of the solver allocates no grid-length array. Each array
+operation is the one the plain formulas make, in their order, so every
+iterate has the bits of ``np.where``, ``np.trapezoid`` and
+:func:`~dispersim.grids.cumulative_trapezoid`.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, ZeroMass
-from .grids import GriddedDistribution, checked_grid, cumulative_trapezoid
+from .grids import GriddedDistribution, checked_grid, running_trapezoid, trapezoid_areas
 
 __all__ = ["FixedPointResult", "fixed_point_map", "fixed_point_solve"]
 
@@ -43,17 +51,34 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     """
     grid = checked_grid(grid)
     density = np.asarray(density, dtype=float)
-    return _map_cumulative(grid, cumulative_trapezoid(density, grid))
+    step = _Map(grid)
+    cum = running_trapezoid(density, step.steps, np.empty(grid.shape))
+    return step(cum, np.empty(grid.shape))
 
 
-def _map_cumulative(grid: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """The map applied to a density given by its cumulative on ``grid``."""
-    p_star = float(np.interp(0.5 * cum[-1], cum, grid))
-    shape = np.where(grid <= p_star, cum, cum[-1] - cum)
-    norm = float(np.trapezoid(shape, grid))
-    if norm <= 0.0:
-        raise ZeroMass("density has no mass on the grid")
-    return shape / norm
+class _Map:
+    """The map on one grid, with its steps and scratch taken once.
+
+    A call writes the image of a density, given by its running integral
+    ``cum``, into ``out`` and allocates no grid-length array.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        self.steps = np.diff(grid)
+        self.areas = np.empty(grid.size - 1)
+        self.below = np.empty(grid.shape, dtype=bool)
+
+    def __call__(self, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        p_star = float(np.interp(0.5 * cum[-1], cum, self.grid))
+        # cum up to the median, cum[-1] - cum above it
+        np.subtract(cum[-1], cum, out=out)
+        np.less_equal(self.grid, p_star, out=self.below)
+        np.copyto(out, cum, where=self.below)
+        norm = float(np.add.reduce(trapezoid_areas(out, self.steps, self.areas)))
+        if norm <= 0.0:
+            raise ZeroMass("density has no mass on the grid")
+        return np.divide(out, norm, out=out)
 
 
 def _seed_density(grid: np.ndarray, init) -> np.ndarray:
@@ -91,6 +116,11 @@ def fixed_point_solve(
     a tight one (1e-3 at 4001 nodes) is never met.  The returned law is the
     first iterate whose gap falls below ``tol``, so it depends on ``tol``.
 
+    The loop runs on the module's buffered map: the grid's steps are taken
+    once a solve, and each iteration writes the iterate, its running
+    integral and the gap into arrays allocated before the loop, with the
+    bits of the unbuffered formulas.
+
     Raises
     ------
     NonConvergence
@@ -105,14 +135,17 @@ def fixed_point_solve(
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 
-    density = _seed_density(grid, init)
-    cum = cumulative_trapezoid(density, grid)
+    step = _Map(grid)
+    cum = running_trapezoid(_seed_density(grid, init), step.steps, np.empty(grid.shape))
+    density, new_cum = np.empty(grid.shape), np.empty(grid.shape)
     gap = np.inf
     for iteration in range(1, max_iter + 1):
-        new = _map_cumulative(grid, cum)
-        new_cum = cumulative_trapezoid(new, grid)
-        gap = float(np.max(np.abs(new_cum - cum)))
-        density, cum = new, new_cum
+        step(cum, density)
+        running_trapezoid(density, step.steps, new_cum)
+        # the old cumulative is spent: the gap is taken in its place
+        np.subtract(new_cum, cum, out=cum)
+        gap = float(np.abs(cum, out=cum).max())
+        cum, new_cum = new_cum, cum
         if gap < tol:
             dist = GriddedDistribution(grid.copy(), density)
             return FixedPointResult(distribution=dist, n_iterations=iteration, gap=gap)

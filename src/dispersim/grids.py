@@ -34,15 +34,39 @@ def trapezoid(values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.trapezoid(values, grid))
 
 
+def trapezoid_areas(values: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-interval trapezoid areas ``steps * (values[1:] + values[:-1]) / 2.0``, into ``out``.
+
+    These are the terms ``np.trapezoid`` forms, in its order of operations,
+    so ``np.add.reduce`` of them is its integral bit for bit.
+    """
+    np.add(values[1:], values[:-1], out=out)
+    np.multiply(steps, out, out=out)
+    return np.divide(out, 2.0, out=out)
+
+
+def running_trapezoid(values: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral of ``values``, from 0, into ``out``.
+
+    ``steps`` are the grid's steps. The areas are formed in ``out[1:]`` and
+    summed there in place, so a caller that keeps ``steps`` and ``out``
+    across calls, as the fixed-point loop does, allocates no array.
+    """
+    np.cumsum(trapezoid_areas(values, steps, out[1:]), out=out[1:])
+    out[0] = 0.0
+    return out
+
+
 def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Running trapezoidal integral of ``values`` over ``grid``, starting at 0.
 
     Bit for bit what ``scipy.integrate.cumulative_trapezoid(values, grid,
-    initial=0.0)`` returns, without importing scipy.
+    initial=0.0)`` returns, without importing scipy. It is one call of
+    :func:`running_trapezoid`, the running integral that the fixed-point
+    loop also runs on its own steps and buffers.
     """
     values = np.asarray(values, dtype=float)
-    steps = np.diff(grid) * (values[1:] + values[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    return running_trapezoid(values, np.diff(grid), np.empty(values.shape))
 
 
 def checked_grid(grid) -> np.ndarray:

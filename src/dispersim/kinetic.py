@@ -277,7 +277,7 @@ def run(
         deposits = list(added)
     else:
         deposits = [inflows] * block
-    steps = list(zip(stocks[:-1], stocks[1:], stocks[:-1, 0], stocks[:-1, 1],
+    steps = list(zip(stocks[1:], stocks[:-1, 0], stocks[:-1, 1], stocks[1:, 0], stocks[1:, 1],
                      uncapped, booked[1:], deposits))
 
     # Books that overflow are refused at the end of the first block that
@@ -293,12 +293,14 @@ def run(
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
                 np.multiply(factors[:m, :, None], inflows, out=added[:m])
-            for before, after, x, z, u, t, deposit in steps[:m]:
+            for after, x, z, x_after, z_after, u, t, deposit in steps[:m]:
                 np.multiply(x, eta_dt, out=u)
                 np.multiply(u, z, out=u)
                 np.minimum(u, x, out=t)
                 np.minimum(t, z, out=t)
-                np.subtract(before, t, out=after)
+                # two row subtracts cost less than one (2, bins) - (bins,) broadcast
+                np.subtract(x, t, out=x_after)
+                np.subtract(z, t, out=z_after)
                 np.add(after, deposit, out=after)
 
             span = slice(start, start + m)

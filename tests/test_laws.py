@@ -335,6 +335,21 @@ def test_mixture_that_does_not_converge_needs_memory_bounded_in_the_prices():
     assert peak < 64e6
 
 
+def test_mixture_on_the_bench_grid_peaks_under_14_mb():
+    # three reused block buffers of a rule in place of a dozen (prices, 2, m)
+    # temporaries of 4 MB each; with those temporaries the run peaks near 25 MB
+    law = LognormalParams(gamma=1.0, omega=0.3)
+    p = np.linspace(0.2, 3.0, 4001)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mixture_density(p, law)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+
+
 def test_mixture_argument_validation():
     law = LognormalParams(gamma=1.0, omega=0.245)
     with pytest.raises(ValueError):
