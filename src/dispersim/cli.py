@@ -21,9 +21,9 @@ Exit codes: 0 on success, 1 when the input or configuration is unusable,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +79,17 @@ _WRITE_CHARS = 1 << 20
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 
+    The temp file is created with mode ``0o666`` less the umask, as ``open``
+    would create ``path`` itself, so the artifact gets the umask's default
+    mode (``tempfile.mkstemp`` would make it owner-only). Its name carries
+    64 random bits, and ``O_EXCL`` refuses to reuse an existing file.
+
     The text is encoded and written in slices of at most ``_WRITE_CHARS``
     characters, never as one whole encoded copy. UTF-8 encodes each
     character on its own, so the bytes are those of the whole text.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for start in range(0, len(text), _WRITE_CHARS):
@@ -353,6 +359,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser tree for the command line, on each call."""
     parser = _Parser(
         prog="dispersim",
         description="Kinetic market simulation and estimation toolkit "
@@ -368,8 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Parsing leaves the tree as it was, and argparse reads the terminal width
+    when it formats help or usage, not when it builds, so one tree serves
+    every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

@@ -72,13 +72,15 @@ def load_config(path) -> Config:
     Raises
     ------
     ConfigError
-        If the file does not exist or fails to parse.
+        If the file cannot be read, is not UTF-8, or fails to parse.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 at byte {exc.start}")
     return parse_config(text)
 
 

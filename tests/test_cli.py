@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dispersim import __version__
-from dispersim.cli import _column, _table, main
+from dispersim.cli import _column, _parser, _table, main
 from dispersim.config import parse_config
 from dispersim.dataio import load_sample, write_sample
 from dispersim.estimate import fit_laplace, histogram
@@ -331,6 +331,17 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_a_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(FIXED_POINT_CFG.encode() + b"# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["fixed-point", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config {cfg}" in err
+    assert f"byte {len(FIXED_POINT_CFG) + 5}" in err
+    assert not out.exists()
+
+
 def test_meanprice_command_stores_paths(tmp_path):
     code, out = _run(tmp_path, "simulate-meanprice", SDE_CFG)
     assert code == 0
@@ -434,6 +445,17 @@ def test_reused_output_directory_drops_the_previous_runs_other_artifacts(tmp_pat
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "density.csv", "manifest.txt", "notes.txt"]
+
+
+def test_artifacts_get_the_umask_default_mode(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    for _ in range(2):  # the rerun replaces each file, and must keep its mode
+        code, out = _run(tmp_path, "simulate-meanprice", SDE_CFG)
+        assert code == 0
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert sorted(modes) == ["manifest.txt", "paths.csv", "summary.txt", "terminal.csv"]
+        assert set(modes.values()) == {0o666 & ~umask}
 
 
 def test_failed_reruns_remove_nothing(tmp_path, capsys):
@@ -851,3 +873,34 @@ def test_help_text_matches_the_documented_layout(argv, capsys, monkeypatch):
         _reference_parser().parse_args(argv)
     assert text == capsys.readouterr().out
     assert text.startswith("usage: dispersim")
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state_between_calls(
+        tmp_path, capsys, monkeypatch):
+    _parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _ = _run(tmp_path, "mixture", MIXTURE_CFG)
+    assert code == 0
+    bad = ["no-such-command", "x.cfg"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        _reference_parser().parse_args(bad)
+    assert err == capsys.readouterr().err
+    helps = {}
+    for columns in ("80", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["fit", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                _reference_parser().parse_args(argv)
+            assert text == capsys.readouterr().out
+            helps[columns, argv[0]] = text
+    assert helps["80", "--help"] != helps["60", "--help"]  # the width was read anew
+    assert _parser.cache_info().misses == 1
+    assert _parser.cache_info().hits == 5
