@@ -36,16 +36,12 @@ from .grids import GriddedDistribution, uniform_grid
 from .laws import (
     LaplaceParams,
     LognormalParams,
-    floor_linearization_error,
     laplace_cdf,
     laplace_density,
     laplace_eval,
-    laplace_moments,
     lognormal_cdf,
     lognormal_density,
-    lognormal_moments,
     mixture_density,
-    sigma_from_mean,
 )
 from .quasistatic import (
     SupplyDemandCurves,
@@ -84,7 +80,6 @@ from .dataio import (
     load_sample,
     load_transactions,
     normalize_prices,
-    serialize_transactions,
     write_normalized_samples,
     write_sample,
 )
@@ -96,10 +91,8 @@ __all__ = [
     "NonConvergence", "QuadratureError", "StabilityViolation", "ZeroMass",
     "ZeroSalesVolume",
     "GriddedDistribution", "uniform_grid",
-    "LaplaceParams", "LognormalParams", "floor_linearization_error",
-    "laplace_cdf", "laplace_density", "laplace_eval", "laplace_moments",
-    "lognormal_cdf", "lognormal_density", "lognormal_moments",
-    "mixture_density", "sigma_from_mean",
+    "LaplaceParams", "LognormalParams", "laplace_cdf", "laplace_density",
+    "laplace_eval", "lognormal_cdf", "lognormal_density", "mixture_density",
     "SupplyDemandCurves", "intercept_price", "quasi_static_density",
     "total_sales_rate",
     "InflowSpec", "MarketState", "SimResult", "initial_state", "run",
@@ -111,6 +104,6 @@ __all__ = [
     "FitResult", "fit_laplace", "fit_shifted_lognormal", "histogram",
     "ks_statistic",
     "NormalizedGroups", "TransactionTable", "group_std_devs", "load_sample",
-    "load_transactions", "normalize_prices", "serialize_transactions",
-    "write_normalized_samples", "write_sample",
+    "load_transactions", "normalize_prices", "write_normalized_samples",
+    "write_sample",
 ]

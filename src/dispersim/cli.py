@@ -358,8 +358,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser tree for the command line, on each call."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Parsing leaves the tree as it was, and argparse reads the terminal width
+    when it formats help or usage, not when it builds, so one tree serves
+    every call.
+    """
     parser = _Parser(
         prog="dispersim",
         description="Kinetic market simulation and estimation toolkit "
@@ -373,17 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default="out", help="output directory (default: out)")
         sub.add_argument("--seed", type=int, help="override the config seed")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process.
-
-    Parsing leaves the tree as it was, and argparse reads the terminal width
-    when it formats help or usage, not when it builds, so one tree serves
-    every call.
-    """
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -304,23 +304,6 @@ def load_transactions(source) -> TransactionTable:
     )
 
 
-def serialize_transactions(table: TransactionTable) -> str:
-    """Render a table back to delimiter-separated text.
-
-    Floats are written in shortest round-trip form, so serializing and
-    reloading reproduces the table exactly.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(HEADER)
-    for i in range(table.size):
-        writer.writerow([
-            table.good_id[i], table.market_id[i], table.quarter[i],
-            repr(float(table.price[i])), repr(float(table.quantity[i])),
-        ])
-    return buffer.getvalue()
-
-
 def _group_codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Sorted distinct ids of ``column`` and each row's index into them.
 

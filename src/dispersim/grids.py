@@ -149,15 +149,6 @@ class GriddedDistribution:
         # Guard against roundoff pushing the last node off 1.
         return np.clip(cumulative / cumulative[-1], 0.0, 1.0)
 
-    @property
-    def spacing(self) -> float:
-        """Grid spacing (assumes a uniform grid)."""
-        return float(self.grid[1] - self.grid[0])
-
-    def mean(self) -> float:
-        """Trapezoidal mean price under the density."""
-        return trapezoid(self.grid * self.density, self.grid)
-
     def quantile(self, q: float) -> float:
         """Price at cumulative level ``q`` by linear interpolation."""
         if not 0.0 <= q <= 1.0:
@@ -175,6 +166,3 @@ class GriddedDistribution:
     def median(self) -> float:
         return self.quantile(0.5)
 
-    def cdf_at(self, prices) -> np.ndarray:
-        """Cumulative values at arbitrary prices by linear interpolation."""
-        return np.interp(prices, self.grid, self.cumulative, left=0.0, right=1.0)

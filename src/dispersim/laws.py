@@ -94,42 +94,6 @@ def laplace_eval(
     return density, cumulative
 
 
-def laplace_moments(params: LaplaceParams) -> tuple[float, float, float]:
-    """Mean, variance, and standard deviation (``2 sigma**2`` variance)."""
-    return params.mu, 2.0 * params.sigma**2, float(np.sqrt(2.0) * params.sigma)
-
-
-def sigma_from_mean(mean_price: float, floor: float) -> tuple[float, bool]:
-    """Dispersion scale implied by the floor price link, ``mu - mu_m``.
-
-    Returns the scale together with a degeneracy flag: when the mean price
-    sits on the floor the law collapses to a narrow peak and the scale is
-    zero, which valid parameters cannot represent.
-    """
-    if mean_price < floor:
-        raise ValueError(
-            f"mean price {mean_price} must not be below the floor {floor}"
-        )
-    sigma = mean_price - floor
-    return sigma, sigma == 0.0
-
-
-def floor_linearization_error(delta_over_sigma: float) -> float:
-    """Gap between the exponential tail and its linearization at the floor.
-
-    The lower branch of the law is often approximated linearly over the
-    distance ``delta`` between the mean and the floor. The approximation
-    error at the floor is ``exp(-delta/sigma) - (1 - delta/sigma)``, always
-    nonnegative and of second order for small ``delta/sigma``. The validity
-    range of the linearization is not sharp, so this is reported as a
-    diagnostic rather than checked against a bound.
-    """
-    x = float(delta_over_sigma)
-    if x < 0.0:
-        raise ValueError("delta/sigma must be nonnegative")
-    return float(np.exp(-x) - (1.0 - x))
-
-
 # ---------------------------------------------------------------------------
 # Shifted lognormal
 # ---------------------------------------------------------------------------
@@ -183,14 +147,6 @@ def lognormal_cdf(values, params: LognormalParams) -> np.ndarray:
     if np.isscalar(values) or np.asarray(values).ndim == 0:
         return out[0]
     return out
-
-
-def lognormal_moments(params: LognormalParams) -> tuple[float, float]:
-    """Mean and variance of the shifted lognormal law."""
-    g, o = params.gamma, params.omega
-    mean = params.shift + g * np.exp(o**2 / 2.0)
-    var = g**2 * np.exp(o**2) * (np.exp(o**2) - 1.0)
-    return float(mean), float(var)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +240,14 @@ def mixture_density(
         If the results still disagree when doubling again would exceed
         ``n_nodes``; the achieved agreement is attached.
     """
-    if conditional_scale <= 0.0:
+    if not conditional_scale > 0.0:
         raise ValueError("conditional_scale must be positive")
-    if floor < 0.0:
+    if not floor >= 0.0:
         raise ValueError("floor must be nonnegative")
     if n_nodes < 9:
         raise ValueError("n_nodes too small for a refinement check")
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     p = np.atleast_1d(np.asarray(prices, dtype=float))
 
     gamma, omega, shift = mean_price_law.gamma, mean_price_law.omega, mean_price_law.shift

@@ -535,6 +535,13 @@ def test_mixture_quadrature_refusal_exits_2(tmp_path, capsys):
     assert "n_nodes" in capsys.readouterr().err
 
 
+def test_mixture_negative_rel_tol_exits_1(tmp_path, capsys):
+    code, out = _run(tmp_path, "mixture", MIXTURE_CFG + "mixture.rel_tol = -1\n")
+    assert code == 1
+    assert "rel_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_laplace_command_recovers_scale(tmp_path):
     draws = np.random.default_rng(0).laplace(1.0, 0.125, 100_000)
     sample_path = _write(tmp_path, "sample.csv", write_sample(Sample(draws)))

@@ -20,7 +20,6 @@ from dispersim.dataio import (
     load_sample,
     load_transactions,
     normalize_prices,
-    serialize_transactions,
     write_normalized_samples,
     write_sample,
 )
@@ -124,20 +123,6 @@ def test_malformed_row_exposes_row_and_reason():
     assert err.row == 4
     assert err.reason == "boom"
     assert "row 4" in str(err)
-
-
-def test_serialize_round_trips_exactly():
-    text = (
-        f"{HEADER_LINE}\n"
-        "milk,north,2011Q1,1.1000000000000001,3.0\n"
-        "milk,south,2011Q2,0.1,7.5\n"
-    )
-    table = _table(text)
-    again = _table(serialize_transactions(table))
-    np.testing.assert_array_equal(again.price, table.price)
-    np.testing.assert_array_equal(again.quantity, table.quantity)
-    assert list(again.good_id) == list(table.good_id)
-    assert serialize_transactions(again) == serialize_transactions(table)
 
 
 def test_table_validation():

@@ -174,22 +174,6 @@ def test_quantile_rejects_out_of_range():
         dist.quantile(1.01)
 
 
-def test_cdf_at_interpolates_and_saturates():
-    grid = uniform_grid(0.0, 1.0, 101)
-    dist = GriddedDistribution.from_density(grid, np.ones(101))
-    assert dist.cdf_at(0.25) == pytest.approx(0.25, abs=1e-12)
-    assert dist.cdf_at(-5.0) == 0.0
-    assert dist.cdf_at(5.0) == 1.0
-
-
-def test_mean_of_symmetric_density_sits_at_center():
-    grid = uniform_grid(0.0, 2.0, 2001)
-    tent = 1.0 - np.abs(grid - 1.0)
-    dist = GriddedDistribution.from_density(grid, tent)
-    assert dist.mean() == pytest.approx(1.0, abs=1e-12)
-    assert dist.spacing == pytest.approx(0.001)
-
-
 def test_quantile_inside_a_segment_of_subnormal_mass():
     # the cumulative rises by about 1.5e-313 per segment before the last node,
     # so interpolating price against it overflows the slope

@@ -18,16 +18,12 @@ from dispersim.laws import (
     LaplaceParams,
     LognormalParams,
     _legendre_rule,
-    floor_linearization_error,
     laplace_cdf,
     laplace_density,
     laplace_eval,
-    laplace_moments,
     lognormal_cdf,
     lognormal_density,
-    lognormal_moments,
     mixture_density,
-    sigma_from_mean,
 )
 
 laplace_params = st.builds(
@@ -96,14 +92,6 @@ def test_laplace_eval_truncated_renormalizes():
     np.testing.assert_allclose(dens / plain, dens[0] / plain[0], rtol=1e-12)
 
 
-def test_laplace_moments_closed_forms():
-    params = LaplaceParams(mu=1.5, sigma=0.3)
-    mean, var, std = laplace_moments(params)
-    assert mean == 1.5
-    assert var == pytest.approx(2 * 0.3**2, rel=1e-15)
-    assert std == pytest.approx(np.sqrt(2) * 0.3, rel=1e-15)
-
-
 @given(laplace_params)
 def test_laplace_normalization_and_variance_by_quadrature(params):
     half_width = 40.0 * params.sigma
@@ -114,28 +102,6 @@ def test_laplace_normalization_and_variance_by_quadrature(params):
     assert norm == pytest.approx(1.0, abs=1e-7)
     assert var == pytest.approx(2 * params.sigma**2, rel=1e-6)
 
-
-def test_sigma_from_mean_examples():
-    sigma, degenerate = sigma_from_mean(1.2, 0.2)
-    assert sigma == pytest.approx(1.0)
-    assert degenerate is False
-    sigma, degenerate = sigma_from_mean(0.7, 0.7)
-    assert sigma == 0.0
-    assert degenerate is True
-    with pytest.raises(ValueError):
-        sigma_from_mean(0.5, 0.7)
-
-
-def test_floor_linearization_error_behaviour():
-    assert floor_linearization_error(0.0) == 0.0
-    # for small arguments the residual is quadratic with coefficient 1/2
-    x = 1e-4
-    assert floor_linearization_error(x) == pytest.approx(0.5 * x * x, rel=1e-3)
-    errs = np.array([floor_linearization_error(x) for x in np.linspace(0.0, 3.0, 50)])
-    assert np.all(errs >= 0.0)
-    assert np.all(np.diff(errs) >= 0.0)
-    with pytest.raises(ValueError):
-        floor_linearization_error(-0.1)
 
 
 def test_lognormal_params_validation():
@@ -187,7 +153,8 @@ def test_lognormal_cdf_matches_scipy_ndtr(shift):
 
 def test_lognormal_moments_against_quadrature():
     params = LognormalParams(gamma=1.3, omega=0.4, shift=0.2)
-    mean, var = lognormal_moments(params)
+    mean = 0.2 + 1.3 * np.exp(0.4**2 / 2.0)
+    var = 1.3**2 * np.exp(0.4**2) * (np.exp(0.4**2) - 1.0)
 
     def integrand_mean(x):
         return x * lognormal_density(x, params)
@@ -356,8 +323,15 @@ def test_mixture_argument_validation():
         mixture_density(1.0, law, conditional_scale=0.0)
     with pytest.raises(ValueError):
         mixture_density(1.0, law, floor=-0.5)
+    with pytest.raises(ValueError, match="floor"):
+        mixture_density(1.0, law, floor=float("nan"))
+    with pytest.raises(ValueError, match="conditional_scale"):
+        mixture_density(1.0, law, conditional_scale=float("nan"))
     with pytest.raises(ValueError):
         mixture_density(1.0, law, n_nodes=5)
+    for rel_tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            mixture_density(1.0, law, rel_tol=rel_tol)
 
 
 def test_mixture_floor_shifts_support():
