@@ -218,10 +218,12 @@ def _simulate_meanprice(cfg) -> dict[str, str]:
     result = simulate_mean_price(params, store_paths=store_paths)
     artifacts = {"terminal.csv": _column("omega", result.terminal)}
     if store_paths:
-        times = [repr(t) for t in (params.dt * np.arange(params.n_steps + 1)).tolist()]
-        rows = []
-        for i, path in enumerate(result.paths):
-            rows.extend(f"{i},{t},{w!r}\n" for t, w in zip(times, path.tolist()))
+        # one path row at a time through tolist(): the whole array at once
+        # would hold every omega as a Python float until the text is built
+        times = (params.dt * np.arange(params.n_steps + 1)).tolist()
+        template = "".join(f"{{id}},{t!r},%r\n" for t in times)
+        rows = [template.replace("{id}", str(i)) % tuple(path.tolist())
+                for i, path in enumerate(result.paths)]
         artifacts["paths.csv"] = "path_id,time,omega\n" + "".join(rows)
     artifacts["summary.txt"] = _keyvalue([
         ("log_mean", repr(result.log_mean)),

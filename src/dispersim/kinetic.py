@@ -12,7 +12,10 @@ capped at the available stock so bin populations can never turn negative.
 The step loop runs in blocks of steps over preallocated rows, so a step
 allocates nothing and the scratch memory is bounded by a fixed 1 MiB
 budget whatever the run length; the per-block reductions give the same
-bits as a loop that books every step on its own.
+bits as a loop that books every step on its own. A block first runs
+without the cap and keeps those bits when its peak entering stock proves
+the cap slack, ``eta * dt * peak < 1/2``; only a block that fails the
+check pays for a second, capped pass.
 
 The price shapes of the inflows are a closure choice, not a law of the
 model. The ``monotone`` closure feeds buy orders mostly toward the floor
@@ -68,7 +71,7 @@ class MarketState:
             raise ValueError("stock arrays must match the grid shape")
         if np.any(x_bins < 0.0) or np.any(z_bins < 0.0):
             raise ValueError("stocks must be nonnegative")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError("eta must be nonnegative")
         if self.cumulative_sales is None:
             object.__setattr__(self, "cumulative_sales", np.zeros_like(grid))
@@ -111,13 +114,13 @@ class InflowSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.demand_rate < 0.0 or self.supply_rate < 0.0:
+        if not (self.demand_rate >= 0.0 and self.supply_rate >= 0.0):
             raise ValueError("inflow rates must be nonnegative")
-        if self.sigma_ref <= 0.0:
+        if not self.sigma_ref > 0.0:
             raise ValueError("sigma_ref must be positive")
         if self.shape not in INFLOW_SHAPES:
             raise ValueError(f"shape must be one of {INFLOW_SHAPES}, got {self.shape!r}")
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ValueError("jitter must be nonnegative")
 
     def reference(self) -> LaplaceParams:
@@ -218,6 +221,22 @@ def run(
     order, so they are the same stream as two normals drawn per step. The
     scratch stays within 1 MiB on grids of up to about 11 000 bins, so
     memory grows with the run length only through the per-step series.
+
+    Each block first runs without the cap: a step books
+    ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies. If the
+    block's peak entering stock then has ``eta_dt * peak < 1/2``, the cap
+    could not have bound in any of its steps. A rounded product is at most
+    twice the exact one, even below the normal range, so
+    ``fl(x_i * eta_dt) * z_i <= 2 * eta_dt * x_i * z_i < min(x_i, z_i)``,
+    and rounding that product cannot pass ``min(x_i, z_i)``, itself a
+    float. Both passes enter each step with the same stocks until the cap
+    first binds, so the uncapped peak covers that step too. The uncapped
+    bits are then the capped loop's and the block's cap count is 0.
+    Otherwise the block runs again from its entering stocks,
+    with the same jitter deposits, under the cap, and counts its hits; a
+    capped block thus costs two passes. A NaN or infinite peak fails the
+    check and takes the capped pass.
+
     Every result is bitwise what a step-by-step loop over the same
     arithmetic gives.
 
@@ -233,9 +252,9 @@ def run(
         If the whole run transacts nothing, leaving no sales law to
         normalize.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if horizon < dt:
+    if not horizon >= dt:
         raise ValueError("horizon must be at least dt")
     eta_dt = initial.eta * dt
     peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
@@ -293,23 +312,34 @@ def run(
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
                 np.multiply(factors[:m, :, None], inflows, out=added[:m])
-            for after, x, z, x_after, z_after, u, t, deposit in steps[:m]:
-                np.multiply(x, eta_dt, out=u)
-                np.multiply(u, z, out=u)
-                np.minimum(u, x, out=t)
-                np.minimum(t, z, out=t)
-                # two row subtracts cost less than one (2, bins) - (bins,) broadcast
-                np.subtract(x, t, out=x_after)
-                np.subtract(z, t, out=z_after)
-                np.add(after, deposit, out=after)
+            # uncapped first, kept if the peak proves the cap slack (see the
+            # docstring); a rerun starts from stocks[0], which no step writes
+            for capped in (False, True):
+                for after, x, z, x_after, z_after, u, t, deposit in steps[:m]:
+                    if capped:
+                        np.multiply(x, eta_dt, out=u)
+                        np.multiply(u, z, out=u)
+                        np.minimum(u, x, out=t)
+                        np.minimum(t, z, out=t)
+                    else:
+                        np.multiply(x, eta_dt, out=t)
+                        np.multiply(t, z, out=t)
+                    # two row subtracts cost less than one (2, bins) - (bins,) broadcast
+                    np.subtract(x, t, out=x_after)
+                    np.subtract(z, t, out=z_after)
+                    np.add(after, deposit, out=after)
+                peak = float(np.max(stocks[:m]))
+                if not capped and eta_dt * peak < 0.5:
+                    break
+            if capped:
+                # a step's units fall short of its uncapped ones only at the cap
+                cap_hits += int(np.count_nonzero(booked[1:m + 1] < uncapped[:m]))
+            peak_stock = max(peak_stock, peak)
 
             span = slice(start, start + m)
             np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)
             np.add.reduce(booked[1:m + 1], axis=1, out=sales_rate[span])
             np.divide(sales_rate[span], dt, out=sales_rate[span])
-            # a step's units fall short of its uncapped ones only at the cap
-            cap_hits += int(np.count_nonzero(booked[1:m + 1] < uncapped[:m]))
-            peak_stock = max(peak_stock, float(np.max(stocks[:m])))
             # MarketState refuses grids of fewer than 2 nodes, so this reduction
             # runs over two or more columns and adds each bin's rows in step
             # order; on one column numpy would add them pairwise.

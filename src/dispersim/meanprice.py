@@ -51,13 +51,13 @@ class SdeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
+        if not self.omega0 > 0.0:
             raise ValueError("omega0 must be positive")
-        if self.noise_amp < 0.0:
+        if not self.noise_amp >= 0.0:
             raise ValueError("noise_amp must be nonnegative")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
+        if not self.horizon >= self.dt:
             raise ValueError("horizon must be at least dt")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")

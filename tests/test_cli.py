@@ -360,13 +360,19 @@ def test_meanprice_command_stores_paths(tmp_path):
     assert [row[2] for row in last] == terminal[1:]
 
 
-def test_paths_csv_bytes_match_per_element_formatting(tmp_path):
-    # dt = 0.1 gives times such as 0.30000000000000004, so every float goes
-    # through repr exactly as numpy scalars formatted one by one would
-    cfg = SDE_CFG.replace("sde.dt = 0.25", "sde.dt = 0.1").replace("n_paths = 4", "n_paths = 7")
+# dt = 0.1 gives times such as 0.30000000000000004 and dt = 1e-05 times in
+# exponent form such as 2e-05, so every float goes through repr exactly as
+# numpy scalars formatted one by one would; 12 paths give two-digit ids
+@pytest.mark.parametrize("dt, horizon, n_paths", [
+    (0.1, 1.0, 7), (0.1, 1.0, 12), (1e-05, 5e-05, 7)])
+def test_paths_csv_bytes_match_per_element_formatting(tmp_path, dt, horizon, n_paths):
+    cfg = (SDE_CFG.replace("sde.dt = 0.25", f"sde.dt = {dt!r}")
+           .replace("sde.horizon = 1.0", f"sde.horizon = {horizon!r}")
+           .replace("n_paths = 4", f"n_paths = {n_paths}"))
     code, out = _run(tmp_path, "simulate-meanprice", cfg)
     assert code == 0
-    params = SdeParams(omega0=0.41, noise_amp=0.03, dt=0.1, horizon=1.0, n_paths=7, seed=3)
+    params = SdeParams(omega0=0.41, noise_amp=0.03, dt=dt, horizon=horizon,
+                       n_paths=n_paths, seed=3)
     result = simulate_mean_price(params, store_paths=True)
     times = params.dt * np.arange(params.n_steps + 1)
     expected = ["path_id,time,omega\n"]

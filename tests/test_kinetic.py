@@ -106,6 +106,8 @@ def test_market_state_validation():
         MarketState(grid, np.array([1.0, -0.1, 1.0]), np.ones(3), 1.0)
     with pytest.raises(ValueError):
         MarketState(grid, np.ones(3), np.ones(3), -1.0)
+    with pytest.raises(ValueError, match="eta"):
+        MarketState(grid, np.ones(3), np.ones(3), np.nan)
     with pytest.raises(ValueError):
         MarketState(grid, np.ones(4), np.ones(3), 1.0)
     with pytest.raises(ValueError):
@@ -136,6 +138,15 @@ def test_inflow_spec_validation():
         InflowSpec(1.0, 1.0, 1.0, 0.2, shape="sideways")
     with pytest.raises(ValueError):
         InflowSpec(1.0, 1.0, 1.0, 0.2, jitter=-0.5)
+    # NaN fails every comparison, so each check is written to refuse it
+    with pytest.raises(ValueError, match="rates"):
+        InflowSpec(np.nan, 1.0, 1.0, 0.2)
+    with pytest.raises(ValueError, match="rates"):
+        InflowSpec(1.0, np.nan, 1.0, 0.2)
+    with pytest.raises(ValueError, match="sigma_ref"):
+        InflowSpec(1.0, 1.0, 1.0, np.nan)
+    with pytest.raises(ValueError, match="jitter"):
+        InflowSpec(1.0, 1.0, 1.0, 0.2, jitter=np.nan)
 
 
 @pytest.mark.parametrize("shape", ["monotone", "matched"])
@@ -174,6 +185,10 @@ def test_run_rejects_bad_step_sizes():
         run(state, _quiet_inflow(), dt=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         run(state, _quiet_inflow(), dt=1.0, horizon=0.5)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run(state, _quiet_inflow(), dt=np.nan, horizon=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        run(state, _quiet_inflow(), dt=0.1, horizon=np.nan)
 
 
 def test_run_without_transactions_raises():

@@ -25,6 +25,7 @@ from dispersim.kinetic import (
     _block_steps,
     initial_state,
     run,
+    stationary_state,
 )
 
 
@@ -233,3 +234,37 @@ def test_step_size_refusals_match_the_per_step_loop(dt, horizon):
     inflow = InflowSpec(1.0, 1.0, 1.0, 0.2)
     initial = MarketState(grid, np.full(5, 0.5), np.full(5, 0.5), eta=0.1)
     _assert_same_outcome(initial, inflow, dt, horizon, 0)
+
+
+# Each block first runs without the cap and keeps those bits when its peak
+# entering stock keeps eta * dt * peak below 1/2; otherwise it reruns with
+# the cap. The three cases below take each way through that check.
+
+
+def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched", jitter=0.2)
+    initial = stationary_state(grid, 1.0, inflow)
+    got = _assert_same_outcome(initial, inflow, 0.01, 200 * 0.01, 4)
+    assert got.worst_depletion < 0.5 and got.cap_hits == 0
+
+
+def test_block_rerun_with_the_cap_but_no_hit_matches_the_per_step_loop():
+    # the stationary stocks sit at eta * dt * stock of about 0.63, where the
+    # slack check fails but eta * dt * x * z stays below min(x, z)
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(3200.0, 3200.0, 1.0, 0.2, shape="matched")
+    initial = initial_state(grid, 1.0, inflow)
+    got = _assert_same_outcome(initial, inflow, 0.05, 200 * 0.05, 0)
+    assert 0.5 <= got.worst_depletion < 1.0 and got.cap_hits == 0
+
+
+def test_jittered_run_that_reaches_the_cap_partway_matches_the_per_step_loop():
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone", jitter=0.2)
+    initial = initial_state(grid, 1.0, inflow)
+    block = _block_steps(grid.size)
+    first = _assert_same_outcome(initial, inflow, 0.02, block * 0.02, 1)
+    assert first.worst_depletion < 0.5 and first.cap_hits == 0
+    got = _assert_same_outcome(initial, inflow, 0.02, 400 * 0.02, 1)
+    assert got.cap_hits > 0

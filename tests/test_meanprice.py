@@ -44,6 +44,10 @@ def test_params_validation():
         _params(horizon=0.05)
     with pytest.raises(ValueError):
         _params(n_paths=0)
+    # NaN fails every comparison, so each check is written to refuse it
+    for name in ("omega0", "noise_amp", "dt", "horizon"):
+        with pytest.raises(ValueError, match=name):
+            _params(**{name: np.nan})
 
 
 def test_n_steps_rounds_to_nearest():
