@@ -19,6 +19,7 @@ iterate has the bits of ``np.where``, ``np.trapezoid`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,8 @@ def fixed_point_solve(
     grid = checked_grid(grid)
     if grid.size < 3:
         raise ValueError("grid must have at least 3 points")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 

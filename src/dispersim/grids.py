@@ -9,6 +9,7 @@ construction, and derives its cumulative from the density on first use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,8 @@ def uniform_grid(p_min: float, p_max: float, n_points: int) -> np.ndarray:
     """Uniform price grid with ``n_points`` nodes from ``p_min`` to ``p_max``."""
     if not p_max > p_min:
         raise ValueError(f"need p_max > p_min, got [{p_min}, {p_max}]")
+    if not float(p_max) - float(p_min) < math.inf:
+        raise ValueError(f"grid range [{p_min}, {p_max}] must have finite ends and span")
     if n_points < 2:
         raise ValueError("grid needs at least 2 points")
     return np.linspace(p_min, p_max, n_points)

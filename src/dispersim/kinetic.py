@@ -12,10 +12,10 @@ capped at the available stock so bin populations can never turn negative.
 The step loop runs in blocks of steps over preallocated rows, so a step
 allocates nothing and the scratch memory is bounded by a fixed 1 MiB
 budget whatever the run length; the per-block reductions give the same
-bits as a loop that books every step on its own. A block first runs
-without the cap and keeps those bits when its peak entering stock proves
-the cap slack, ``eta * dt * peak < 1/2``; only a block that fails the
-check pays for a second, capped pass.
+bits as a loop that books every step on its own. Each block runs its
+steps once, with a body chosen before it starts: a bound on the stocks
+that can enter its steps either proves the cap slack, and the block skips
+it, or the block runs under the cap and counts its hits.
 
 The price shapes of the inflows are a closure choice, not a law of the
 model. The ``monotone`` closure feeds buy orders mostly toward the floor
@@ -69,18 +69,23 @@ class MarketState:
         object.__setattr__(self, "z_bins", z_bins)
         if x_bins.shape != grid.shape or z_bins.shape != grid.shape:
             raise ValueError("stock arrays must match the grid shape")
-        if np.any(x_bins < 0.0) or np.any(z_bins < 0.0):
-            raise ValueError("stocks must be nonnegative")
-        if not self.eta >= 0.0:
-            raise ValueError("eta must be nonnegative")
+        if not (np.all((0.0 <= x_bins) & (x_bins < math.inf))
+                and np.all((0.0 <= z_bins) & (z_bins < math.inf))):
+            raise ValueError("stocks must be nonnegative and finite")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("eta must be nonnegative and finite")
+        if not math.isfinite(self.clock):
+            raise ValueError("clock must be finite")
+        if self.cap_hits < 0:
+            raise ValueError("cap_hits must be nonnegative")
         if self.cumulative_sales is None:
             object.__setattr__(self, "cumulative_sales", np.zeros_like(grid))
         else:
             sales = np.asarray(self.cumulative_sales, dtype=float)
             if sales.shape != grid.shape:
                 raise ValueError("cumulative_sales must match the grid shape")
-            if np.any(sales < 0.0):
-                raise ValueError("cumulative_sales must be nonnegative")
+            if not np.all((0.0 <= sales) & (sales < math.inf)):
+                raise ValueError("cumulative_sales must be nonnegative and finite")
             object.__setattr__(self, "cumulative_sales", sales)
 
     @property
@@ -114,14 +119,16 @@ class InflowSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if not (self.demand_rate >= 0.0 and self.supply_rate >= 0.0):
-            raise ValueError("inflow rates must be nonnegative")
-        if not self.sigma_ref > 0.0:
-            raise ValueError("sigma_ref must be positive")
+        if not (0.0 <= self.demand_rate < math.inf and 0.0 <= self.supply_rate < math.inf):
+            raise ValueError("inflow rates must be nonnegative and finite")
+        if not math.isfinite(self.mu_ref):
+            raise ValueError("mu_ref must be finite")
+        if not 0.0 < self.sigma_ref < math.inf:
+            raise ValueError("sigma_ref must be positive and finite")
         if self.shape not in INFLOW_SHAPES:
             raise ValueError(f"shape must be one of {INFLOW_SHAPES}, got {self.shape!r}")
-        if not self.jitter >= 0.0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError("jitter must be nonnegative and finite")
 
     def reference(self) -> LaplaceParams:
         return LaplaceParams(mu=self.mu_ref, sigma=self.sigma_ref)
@@ -222,20 +229,28 @@ def run(
     scratch stays within 1 MiB on grids of up to about 11 000 bins, so
     memory grows with the run length only through the per-step series.
 
-    Each block first runs without the cap: a step books
-    ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies. If the
-    block's peak entering stock then has ``eta_dt * peak < 1/2``, the cap
-    could not have bound in any of its steps. A rounded product is at most
-    twice the exact one, even below the normal range, so
-    ``fl(x_i * eta_dt) * z_i <= 2 * eta_dt * x_i * z_i < min(x_i, z_i)``,
-    and rounding that product cannot pass ``min(x_i, z_i)``, itself a
-    float. Both passes enter each step with the same stocks until the cap
-    first binds, so the uncapped peak covers that step too. The uncapped
-    bits are then the capped loop's and the block's cap count is 0.
-    Otherwise the block runs again from its entering stocks,
-    with the same jitter deposits, under the cap, and counts its hits; a
-    capped block thus costs two passes. A NaN or infinite peak fails the
-    check and takes the capped pass.
+    Each block of ``m`` steps runs once, with its step body chosen before
+    it starts. Let ``deposit`` be the largest entry of the inflow rows, times the
+    largest jitter factor of the block when there is jitter, and
+    ``entering`` a bound on the stocks that enter the block: the t = 0
+    peak for the first, then ``peak + deposit`` of the block before, where
+    ``peak`` is the largest stock that entered one of its steps. No stock
+    entering a step of the block then exceeds ``entering + m * deposit``.
+    Rounding is monotone and the units sold are never negative, so a step
+    that enters with ``x <= B`` and deposits ``d <= D`` leaves
+    ``fl(fl(x - t) + d) <= fl(B + D)``, and a jittered deposit
+    ``fl(f * w)`` is at most ``fl(f_max * w_max)``; the closed form lies
+    within about 70 ulps of that step-by-step bound.
+
+    If ``eta_dt * (entering + m * deposit) < 1/4``, every entering stock
+    has ``eta_dt * x_i < 1/2`` with room to spare, and the cap cannot bind.
+    A rounded product is at most twice the exact one, even below the normal
+    range, so ``fl(x_i * eta_dt) * z_i <= 2 * eta_dt * x_i * z_i <
+    min(x_i, z_i)``, and rounding that product cannot pass
+    ``min(x_i, z_i)``, itself a float. Such a block books
+    ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies, and
+    counts no hit. Any other block, a NaN or infinite bound included, runs
+    under the cap and counts its hits.
 
     Every result is bitwise what a step-by-step loop over the same
     arithmetic gives.
@@ -254,10 +269,10 @@ def run(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not horizon >= dt:
-        raise ValueError("horizon must be at least dt")
+    if not dt <= horizon < math.inf:
+        raise ValueError("horizon must be finite and at least dt")
     eta_dt = initial.eta * dt
-    peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
+    entering = peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
     worst = eta_dt * peak_stock
     if worst >= STABILITY_BOUND:
         raise StabilityViolation(
@@ -272,6 +287,7 @@ def run(
     d_weights, s_weights = inflow.bin_weights(grid)
     inflows = np.stack([inflow.demand_rate * dt * d_weights,
                         inflow.supply_rate * dt * s_weights])
+    most_inflow = deposit = float(np.max(inflows))
     jitter = inflow.jitter
     half_var = 0.5 * jitter**2
 
@@ -304,37 +320,37 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             m = min(block, n_steps - start)
-            if start:
-                stocks[0] = stocks[block]
             if jitter > 0.0:
                 rng.standard_normal(out=factors[:m])
                 np.multiply(factors[:m], jitter, out=factors[:m])
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
                 np.multiply(factors[:m, :, None], inflows, out=added[:m])
-            # uncapped first, kept if the peak proves the cap slack (see the
-            # docstring); a rerun starts from stocks[0], which no step writes
-            for capped in (False, True):
-                for after, x, z, x_after, z_after, u, t, deposit in steps[:m]:
-                    if capped:
-                        np.multiply(x, eta_dt, out=u)
-                        np.multiply(u, z, out=u)
-                        np.minimum(u, x, out=t)
-                        np.minimum(t, z, out=t)
-                    else:
-                        np.multiply(x, eta_dt, out=t)
-                        np.multiply(t, z, out=t)
-                    # two row subtracts cost less than one (2, bins) - (bins,) broadcast
-                    np.subtract(x, t, out=x_after)
-                    np.subtract(z, t, out=z_after)
-                    np.add(after, deposit, out=after)
-                peak = float(np.max(stocks[:m]))
-                if not capped and eta_dt * peak < 0.5:
-                    break
+                deposit = most_inflow * float(factors[:m].max())
+            # no stock entering a step of the block exceeds entering + m * deposit;
+            # below 1/4 that bound proves the cap slack (see the docstring)
+            capped = not eta_dt * (entering + m * deposit) < 0.25
+            for after, x, z, x_after, z_after, u, t, added_k in steps[:m]:
+                if capped:
+                    np.multiply(x, eta_dt, out=u)
+                    np.multiply(u, z, out=u)
+                    np.minimum(u, x, out=t)
+                    np.minimum(t, z, out=t)
+                else:
+                    np.multiply(x, eta_dt, out=t)
+                    np.multiply(t, z, out=t)
+                # two row subtracts cost less than one (2, bins) - (bins,) broadcast
+                np.subtract(x, t, out=x_after)
+                np.subtract(z, t, out=z_after)
+                np.add(after, added_k, out=after)
+            peak = float(np.max(stocks[:m]))
+            stocks[0] = stocks[m]  # the next block enters with what this one left
             if capped:
                 # a step's units fall short of its uncapped ones only at the cap
                 cap_hits += int(np.count_nonzero(booked[1:m + 1] < uncapped[:m]))
             peak_stock = max(peak_stock, peak)
+            # the last step adds at most one deposit to a stock that entered it
+            entering = peak + deposit
 
             span = slice(start, start + m)
             np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)

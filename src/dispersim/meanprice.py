@@ -26,6 +26,7 @@ deliberate choice, since the alternating convention would add a spurious
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,14 @@ class SdeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be positive")
-        if not self.noise_amp >= 0.0:
-            raise ValueError("noise_amp must be nonnegative")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be positive and finite")
+        if not 0.0 <= self.noise_amp < math.inf:
+            raise ValueError("noise_amp must be nonnegative and finite")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not self.horizon >= self.dt:
-            raise ValueError("horizon must be at least dt")
+        if not self.dt <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and at least dt")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 

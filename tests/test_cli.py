@@ -541,6 +541,24 @@ def test_mixture_quadrature_refusal_exits_2(tmp_path, capsys):
     assert "n_nodes" in capsys.readouterr().err
 
 
+def test_grid_range_whose_span_overflows_exits_1_without_warnings(tmp_path):
+    cfg = (MIXTURE_CFG.replace("grid.min = 0.2", "grid.min = -1e308")
+           .replace("grid.max = 3.0", "grid.max = 1e308")
+           .replace("grid.points = 12", "grid.points = 5"))
+    # A child interpreter with the default warning filters, so that numpy's
+    # overflow warnings would show on its stderr.
+    config, out = _write(tmp_path, "mixture.cfg", cfg), tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "dispersim", "mixture",
+         str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 1
+    assert "grid range [-1e+308, 1e+308]" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert not out.exists()
+
+
 def test_mixture_negative_rel_tol_exits_1(tmp_path, capsys):
     code, out = _run(tmp_path, "mixture", MIXTURE_CFG + "mixture.rel_tol = -1\n")
     assert code == 1

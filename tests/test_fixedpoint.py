@@ -136,6 +136,9 @@ def test_solver_validates_arguments():
         fixed_point_solve(grid[::-1].copy(), tol=1e-2)
     with pytest.raises(ValueError):
         fixed_point_solve(grid, tol=0.0)
+    # a NaN tol is a wrong argument, not a solve that fails to converge
+    with pytest.raises(ValueError, match="tol"):
+        fixed_point_solve(grid, tol=np.nan)
     with pytest.raises(ValueError):
         fixed_point_solve(grid, max_iter=-1)
     with pytest.raises(ValueError):

@@ -45,6 +45,15 @@ def test_uniform_grid_rejects_bad_arguments():
         uniform_grid(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("p_min, p_max", [
+    (-1e308, 1e308), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf),
+])
+def test_uniform_grid_refuses_a_range_whose_ends_or_span_are_not_finite(p_min, p_max):
+    # linspace over such a span returns NaN and inf nodes
+    with pytest.raises(ValueError, match=r"grid range \[.*\] must have finite ends and span"):
+        uniform_grid(p_min, p_max, 5)
+
+
 def test_trapezoid_matches_quadratic_rule():
     x = np.linspace(0.0, 1.0, 100001)
     assert trapezoid(x * x, x) == pytest.approx(1.0 / 3.0, abs=1e-9)

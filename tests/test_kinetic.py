@@ -114,6 +114,21 @@ def test_market_state_validation():
         MarketState(np.array([0.0, 0.5, 0.2]), np.ones(3), np.ones(3), 1.0)
     with pytest.raises(ValueError):
         MarketState(grid, np.ones(3), np.ones(3), 1.0, cumulative_sales=np.ones(2))
+    # non-finite stocks and tallies are refused here, not as an overflow later
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="stocks"):
+            MarketState(grid, np.array([1.0, bad, 1.0]), np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="stocks"):
+            MarketState(grid, np.ones(3), np.array([bad, 1.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="cumulative_sales"):
+            MarketState(grid, np.ones(3), np.ones(3), 1.0,
+                        cumulative_sales=np.array([0.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="clock"):
+            MarketState(grid, np.ones(3), np.ones(3), 1.0, clock=bad)
+    with pytest.raises(ValueError, match="eta"):
+        MarketState(grid, np.ones(3), np.ones(3), np.inf)
+    with pytest.raises(ValueError, match="cap_hits"):
+        MarketState(grid, np.ones(3), np.ones(3), 1.0, cap_hits=-1)
 
 
 def test_market_state_refuses_a_one_node_grid():
@@ -147,6 +162,17 @@ def test_inflow_spec_validation():
         InflowSpec(1.0, 1.0, 1.0, np.nan)
     with pytest.raises(ValueError, match="jitter"):
         InflowSpec(1.0, 1.0, 1.0, 0.2, jitter=np.nan)
+    with pytest.raises(ValueError, match="rates"):
+        InflowSpec(np.inf, 1.0, 1.0, 0.2)
+    with pytest.raises(ValueError, match="rates"):
+        InflowSpec(1.0, np.inf, 1.0, 0.2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mu_ref"):
+            InflowSpec(1.0, 1.0, bad, 0.2)
+    with pytest.raises(ValueError, match="sigma_ref"):
+        InflowSpec(1.0, 1.0, 1.0, np.inf)
+    with pytest.raises(ValueError, match="jitter"):
+        InflowSpec(1.0, 1.0, 1.0, 0.2, jitter=np.inf)
 
 
 @pytest.mark.parametrize("shape", ["monotone", "matched"])
@@ -189,6 +215,8 @@ def test_run_rejects_bad_step_sizes():
         run(state, _quiet_inflow(), dt=np.nan, horizon=1.0)
     with pytest.raises(ValueError, match="horizon"):
         run(state, _quiet_inflow(), dt=0.1, horizon=np.nan)
+    with pytest.raises(ValueError, match="horizon"):
+        run(state, _quiet_inflow(), dt=0.1, horizon=np.inf)
 
 
 def test_run_without_transactions_raises():

@@ -236,9 +236,10 @@ def test_step_size_refusals_match_the_per_step_loop(dt, horizon):
     _assert_same_outcome(initial, inflow, dt, horizon, 0)
 
 
-# Each block first runs without the cap and keeps those bits when its peak
-# entering stock keeps eta * dt * peak below 1/2; otherwise it reruns with
-# the cap. The three cases below take each way through that check.
+# Each block runs once, without the cap when a bound on its entering stocks
+# keeps eta * dt * bound below 1/4 and with the cap otherwise. The three
+# cases below run every block without the cap, every block under it with no
+# hit, and every block under it with hits from partway through the run.
 
 
 def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
@@ -251,7 +252,8 @@ def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
 
 def test_block_rerun_with_the_cap_but_no_hit_matches_the_per_step_loop():
     # the stationary stocks sit at eta * dt * stock of about 0.63, where the
-    # slack check fails but eta * dt * x * z stays below min(x, z)
+    # bound cannot prove the cap slack, so each block runs capped once, but
+    # eta * dt * x * z stays below min(x, z)
     grid = uniform_grid(0.0, 2.0, 101)
     inflow = InflowSpec(3200.0, 3200.0, 1.0, 0.2, shape="matched")
     initial = initial_state(grid, 1.0, inflow)

@@ -48,6 +48,9 @@ def test_params_validation():
     for name in ("omega0", "noise_amp", "dt", "horizon"):
         with pytest.raises(ValueError, match=name):
             _params(**{name: np.nan})
+    for name in ("omega0", "noise_amp", "horizon"):
+        with pytest.raises(ValueError, match=name):
+            _params(**{name: np.inf})
 
 
 def test_n_steps_rounds_to_nearest():
