@@ -12,10 +12,10 @@ capped at the available stock so bin populations can never turn negative.
 The step loop runs in blocks of steps over preallocated rows, so a step
 allocates nothing and the scratch memory is bounded by a fixed 1 MiB
 budget whatever the run length; the per-block reductions give the same
-bits as a loop that books every step on its own. Each block runs its
-steps once, with a body chosen before it starts: a bound on the stocks
-that can enter its steps either proves the cap slack, and the block skips
-it, or the block runs under the cap and counts its hits.
+bits as a loop that books every step on its own. A block first runs
+without the cap and keeps those bits when its peak entering stock proves
+the cap slack, ``eta * dt * peak < 1/2``; only a block that fails the
+check pays for a second, capped pass.
 
 The price shapes of the inflows are a closure choice, not a law of the
 model. The ``monotone`` closure feeds buy orders mostly toward the floor
@@ -229,28 +229,20 @@ def run(
     scratch stays within 1 MiB on grids of up to about 11 000 bins, so
     memory grows with the run length only through the per-step series.
 
-    Each block of ``m`` steps runs once, with its step body chosen before
-    it starts. Let ``deposit`` be the largest entry of the inflow rows, times the
-    largest jitter factor of the block when there is jitter, and
-    ``entering`` a bound on the stocks that enter the block: the t = 0
-    peak for the first, then ``peak + deposit`` of the block before, where
-    ``peak`` is the largest stock that entered one of its steps. No stock
-    entering a step of the block then exceeds ``entering + m * deposit``.
-    Rounding is monotone and the units sold are never negative, so a step
-    that enters with ``x <= B`` and deposits ``d <= D`` leaves
-    ``fl(fl(x - t) + d) <= fl(B + D)``, and a jittered deposit
-    ``fl(f * w)`` is at most ``fl(f_max * w_max)``; the closed form lies
-    within about 70 ulps of that step-by-step bound.
-
-    If ``eta_dt * (entering + m * deposit) < 1/4``, every entering stock
-    has ``eta_dt * x_i < 1/2`` with room to spare, and the cap cannot bind.
-    A rounded product is at most twice the exact one, even below the normal
-    range, so ``fl(x_i * eta_dt) * z_i <= 2 * eta_dt * x_i * z_i <
-    min(x_i, z_i)``, and rounding that product cannot pass
-    ``min(x_i, z_i)``, itself a float. Such a block books
-    ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies, and
-    counts no hit. Any other block, a NaN or infinite bound included, runs
-    under the cap and counts its hits.
+    Each block first runs without the cap: a step books
+    ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies. If the
+    block's peak entering stock then has ``eta_dt * peak < 1/2``, the cap
+    could not have bound in any of its steps. A rounded product is at most
+    twice the exact one, even below the normal range, so
+    ``fl(x_i * eta_dt) * z_i <= 2 * eta_dt * x_i * z_i < min(x_i, z_i)``,
+    and rounding that product cannot pass ``min(x_i, z_i)``, itself a
+    float. Both passes enter each step with the same stocks until the cap
+    first binds, so the uncapped peak covers that step too. The uncapped
+    bits are then the capped loop's and the block's cap count is 0.
+    Otherwise the block runs again from its entering stocks,
+    with the same jitter deposits, under the cap, and counts its hits; a
+    capped block thus costs two passes. A NaN or infinite peak fails the
+    check and takes the capped pass.
 
     Every result is bitwise what a step-by-step loop over the same
     arithmetic gives.
@@ -272,7 +264,7 @@ def run(
     if not dt <= horizon < math.inf:
         raise ValueError("horizon must be finite and at least dt")
     eta_dt = initial.eta * dt
-    entering = peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
+    peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
     worst = eta_dt * peak_stock
     if worst >= STABILITY_BOUND:
         raise StabilityViolation(
@@ -287,7 +279,6 @@ def run(
     d_weights, s_weights = inflow.bin_weights(grid)
     inflows = np.stack([inflow.demand_rate * dt * d_weights,
                         inflow.supply_rate * dt * s_weights])
-    most_inflow = deposit = float(np.max(inflows))
     jitter = inflow.jitter
     half_var = 0.5 * jitter**2
 
@@ -320,37 +311,37 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             m = min(block, n_steps - start)
+            if start:
+                stocks[0] = stocks[block]
             if jitter > 0.0:
                 rng.standard_normal(out=factors[:m])
                 np.multiply(factors[:m], jitter, out=factors[:m])
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
                 np.multiply(factors[:m, :, None], inflows, out=added[:m])
-                deposit = most_inflow * float(factors[:m].max())
-            # no stock entering a step of the block exceeds entering + m * deposit;
-            # below 1/4 that bound proves the cap slack (see the docstring)
-            capped = not eta_dt * (entering + m * deposit) < 0.25
-            for after, x, z, x_after, z_after, u, t, added_k in steps[:m]:
-                if capped:
-                    np.multiply(x, eta_dt, out=u)
-                    np.multiply(u, z, out=u)
-                    np.minimum(u, x, out=t)
-                    np.minimum(t, z, out=t)
-                else:
-                    np.multiply(x, eta_dt, out=t)
-                    np.multiply(t, z, out=t)
-                # two row subtracts cost less than one (2, bins) - (bins,) broadcast
-                np.subtract(x, t, out=x_after)
-                np.subtract(z, t, out=z_after)
-                np.add(after, added_k, out=after)
-            peak = float(np.max(stocks[:m]))
-            stocks[0] = stocks[m]  # the next block enters with what this one left
+            # uncapped first, kept if the peak proves the cap slack (see the
+            # docstring); a rerun starts from stocks[0], which no step writes
+            for capped in (False, True):
+                for after, x, z, x_after, z_after, u, t, deposit in steps[:m]:
+                    if capped:
+                        np.multiply(x, eta_dt, out=u)
+                        np.multiply(u, z, out=u)
+                        np.minimum(u, x, out=t)
+                        np.minimum(t, z, out=t)
+                    else:
+                        np.multiply(x, eta_dt, out=t)
+                        np.multiply(t, z, out=t)
+                    # two row subtracts cost less than one (2, bins) - (bins,) broadcast
+                    np.subtract(x, t, out=x_after)
+                    np.subtract(z, t, out=z_after)
+                    np.add(after, deposit, out=after)
+                peak = float(np.max(stocks[:m]))
+                if not capped and eta_dt * peak < 0.5:
+                    break
             if capped:
                 # a step's units fall short of its uncapped ones only at the cap
                 cap_hits += int(np.count_nonzero(booked[1:m + 1] < uncapped[:m]))
             peak_stock = max(peak_stock, peak)
-            # the last step adds at most one deposit to a stock that entered it
-            entering = peak + deposit
 
             span = slice(start, start + m)
             np.add.reduce(stocks[1:m + 1], axis=2, out=totals[:, span].T)

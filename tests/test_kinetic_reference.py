@@ -236,10 +236,10 @@ def test_step_size_refusals_match_the_per_step_loop(dt, horizon):
     _assert_same_outcome(initial, inflow, dt, horizon, 0)
 
 
-# Each block runs once, without the cap when a bound on its entering stocks
-# keeps eta * dt * bound below 1/4 and with the cap otherwise. The three
-# cases below run every block without the cap, every block under it with no
-# hit, and every block under it with hits from partway through the run.
+# Each block first runs without the cap and keeps those bits when its peak
+# entering stock keeps eta * dt * peak below 1/2; otherwise it reruns with
+# the cap. The cases below take each way through that check, and the last
+# three reach the cap only after a first block that stays slack.
 
 
 def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
@@ -252,8 +252,7 @@ def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
 
 def test_block_rerun_with_the_cap_but_no_hit_matches_the_per_step_loop():
     # the stationary stocks sit at eta * dt * stock of about 0.63, where the
-    # bound cannot prove the cap slack, so each block runs capped once, but
-    # eta * dt * x * z stays below min(x, z)
+    # slack check fails but eta * dt * x * z stays below min(x, z)
     grid = uniform_grid(0.0, 2.0, 101)
     inflow = InflowSpec(3200.0, 3200.0, 1.0, 0.2, shape="matched")
     initial = initial_state(grid, 1.0, inflow)
@@ -270,3 +269,31 @@ def test_jittered_run_that_reaches_the_cap_partway_matches_the_per_step_loop():
     assert first.worst_depletion < 0.5 and first.cap_hits == 0
     got = _assert_same_outcome(initial, inflow, 0.02, 400 * 0.02, 1)
     assert got.cap_hits > 0
+
+
+def test_unjittered_run_that_reaches_the_cap_partway_matches_the_per_step_loop():
+    # with no jitter every block reruns from the same inflow rows
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone")
+    initial = initial_state(grid, 1.0, inflow)
+    block = _block_steps(grid.size)
+    first = _assert_same_outcome(initial, inflow, 0.02, block * 0.02, 0)
+    assert first.worst_depletion < 0.5 and first.cap_hits == 0
+    got = _assert_same_outcome(initial, inflow, 0.02, 400 * 0.02, 0)
+    assert got.cap_hits == 5_555
+
+
+def test_run_that_large_jitter_drives_to_the_cap_matches_the_per_step_loop():
+    # jitter 2 scales a deposit by up to about e^4 within a block; without
+    # it the same market stays slack throughout
+    grid = uniform_grid(0.0, 2.0, 101)
+    steady = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched")
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched", jitter=2.0)
+    initial = initial_state(grid, 1.0, inflow)
+    block = _block_steps(grid.size)
+    calm = _assert_same_outcome(initial, steady, 0.05, 400 * 0.05, 0)
+    assert calm.worst_depletion < 0.5 and calm.cap_hits == 0
+    first = _assert_same_outcome(initial, inflow, 0.05, block * 0.05, 0)
+    assert first.worst_depletion < 0.5 and first.cap_hits == 0
+    got = _assert_same_outcome(initial, inflow, 0.05, 400 * 0.05, 0)
+    assert got.cap_hits == 1_294
