@@ -72,10 +72,6 @@ from .laws import (
 from .meanprice import SdeParams, simulate_mean_price
 
 
-#: Most characters ``atomic_write_text`` encodes at a time.
-_WRITE_CHARS = 1 << 20
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 
@@ -84,16 +80,16 @@ def atomic_write_text(path: Path, text: str) -> None:
     mode (``tempfile.mkstemp`` would make it owner-only). Its name carries
     64 random bits, and ``O_EXCL`` refuses to reuse an existing file.
 
-    The text is encoded and written in slices of at most ``_WRITE_CHARS``
-    characters, never as one whole encoded copy. UTF-8 encodes each
-    character on its own, so the bytes are those of the whole text.
+    The text is written in one call, which may hold one encoded copy of
+    it. Writing it in slices would lower no peak: the join or ``%`` that
+    built each artifact's text already held at least twice its size while
+    the caller's inputs were still alive.
     """
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -224,7 +220,7 @@ def _simulate_meanprice(cfg) -> dict[str, str]:
         template = "".join(f"{{id}},{t!r},%r\n" for t in times)
         rows = [template.replace("{id}", str(i)) % tuple(path.tolist())
                 for i, path in enumerate(result.paths)]
-        artifacts["paths.csv"] = "path_id,time,omega\n" + "".join(rows)
+        artifacts["paths.csv"] = "".join(["path_id,time,omega\n", *rows])
     artifacts["summary.txt"] = _keyvalue([
         ("log_mean", repr(result.log_mean)),
         ("log_std", repr(result.log_std)),

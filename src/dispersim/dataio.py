@@ -58,10 +58,8 @@ from .samples import Sample, unit_scaled
 HEADER = ("good_id", "market_id", "quarter", "price", "quantity")
 _ID_COLUMNS = HEADER[:3]
 SAMPLE_HEADERS = (("value",), ("value", "weight"))
+#: Grouping levels; the i-th keys on the first i + 1 id columns.
 GROUPINGS = ("good", "good+market", "good+market+quarter")
-
-#: How many leading id columns each grouping level keys on.
-_GROUP_DEPTH = {"good": 1, "good+market": 2, "good+market+quarter": 3}
 
 #: Most rows ``write_normalized_samples`` formats at a time.
 _WRITE_ROWS = 1 << 14
@@ -349,9 +347,10 @@ def normalize_prices(
     """
     if table.size == 0:
         raise EmptyInput("cannot normalize an empty table")
-    if grouping not in _GROUP_DEPTH:
+    if grouping not in GROUPINGS:
         raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
-    columns = (table.good_id, table.market_id, table.quarter)[:_GROUP_DEPTH[grouping]]
+    depth = GROUPINGS.index(grouping) + 1
+    columns = (table.good_id, table.market_id, table.quarter)[:depth]
     names, codes = zip(*map(_group_codes, columns))
     # stable, so each group keeps its rows in table order; last key is primary
     order = np.lexsort(codes[::-1])

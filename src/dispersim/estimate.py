@@ -324,6 +324,5 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     kept = float(weights.sum())
     if kept <= 0.0:
         raise DegenerateSample("every observation falls outside the grid")
-    counts = np.zeros(grid.size)
-    np.add.at(counts, position.astype(int), weights)
+    counts = np.bincount(position.astype(int), weights, minlength=grid.size)
     return GriddedDistribution.from_density(grid, counts), 1.0 - kept / total

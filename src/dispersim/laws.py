@@ -121,32 +121,40 @@ class LognormalParams:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
 
-def lognormal_density(values, params: LognormalParams) -> np.ndarray:
-    """Density of the shifted lognormal law, zero at and below the shift."""
-    w = np.atleast_1d(np.asarray(values, dtype=float))
-    x = w - params.shift
-    out = np.zeros_like(x, dtype=float)
+def _on_support(values, shift: float, law) -> np.ndarray:
+    """``law(x)`` at ``x = values - shift`` where ``x > 0``, zero elsewhere.
+
+    A scalar ``values`` gives a scalar.
+    """
+    x = np.atleast_1d(np.asarray(values, dtype=float)) - shift
+    out = np.zeros_like(x)
     pos = x > 0.0
-    log_term = np.log(x[pos] / params.gamma)
-    out[pos] = np.exp(-(log_term**2) / (2.0 * params.omega**2)) / (
-        np.sqrt(2.0 * np.pi) * params.omega * x[pos]
-    )
+    out[pos] = law(x[pos])
     if np.isscalar(values) or np.asarray(values).ndim == 0:
         return out[0]
     return out
+
+
+def lognormal_density(values, params: LognormalParams) -> np.ndarray:
+    """Density of the shifted lognormal law, zero at and below the shift."""
+
+    def law(x):
+        log_term = np.log(x / params.gamma)
+        return np.exp(-(log_term**2) / (2.0 * params.omega**2)) / (
+            np.sqrt(2.0 * np.pi) * params.omega * x
+        )
+
+    return _on_support(values, params.shift, law)
 
 
 def lognormal_cdf(values, params: LognormalParams) -> np.ndarray:
     """Cumulative of the shifted lognormal law, ``0.5 * erfc(-z / sqrt(2))``."""
-    w = np.atleast_1d(np.asarray(values, dtype=float))
-    x = w - params.shift
-    out = np.zeros_like(x, dtype=float)
-    pos = x > 0.0
-    z = np.log(x[pos] / params.gamma) / params.omega
-    out[pos] = 0.5 * _erfc(-z / np.sqrt(2.0)).astype(float)
-    if np.isscalar(values) or np.asarray(values).ndim == 0:
-        return out[0]
-    return out
+
+    def law(x):
+        z = np.log(x / params.gamma) / params.omega
+        return 0.5 * _erfc(-z / np.sqrt(2.0)).astype(float)
+
+    return _on_support(values, params.shift, law)
 
 
 # ---------------------------------------------------------------------------

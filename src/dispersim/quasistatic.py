@@ -158,7 +158,6 @@ def intercept_price(curves: SupplyDemandCurves) -> float:
         raise NoIntercept("outstanding demand exceeds supply on the whole grid")
     j = int(crossing[0])
     p_lo, p_hi = curves.grid[j - 1], curves.grid[j]
+    # gap[0] > 0 and j is the first index with gap <= 0, so gap[j - 1] > 0 >= gap[j]
     g_lo, g_hi = gap[j - 1], gap[j]
-    if g_hi == g_lo:
-        return float(p_hi)
     return float(p_lo + (p_hi - p_lo) * g_lo / (g_lo - g_hi))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dispersim import __version__
-from dispersim.cli import _column, _parser, _table, main
+from dispersim.cli import _column, _parser, _table, atomic_write_text, main
 from dispersim.config import parse_config
 from dispersim.dataio import load_sample, write_sample
 from dispersim.estimate import fit_laplace, histogram
@@ -485,6 +485,25 @@ def test_manifest_never_removes_files_outside_its_directory(tmp_path):
     code, _ = _run(tmp_path, "mixture", MIXTURE_CFG)
     assert code == 0
     assert (tmp_path / "outside.txt").exists() and (out / "listed_dir").is_dir()
+    # a manifest without an artifacts line lists nothing to remove
+    out = tmp_path / "unlisted"
+    out.mkdir()
+    (out / "manifest.txt").write_text("command = simulate-meanprice\n")
+    (out / "paths.csv").write_text("kept\n")
+    code, _ = _run(tmp_path, "mixture", MIXTURE_CFG, out_name="unlisted")
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["density.csv", "manifest.txt", "paths.csv"]
+    assert (out / "paths.csv").read_text() == "kept\n"
+
+
+def test_a_failed_rename_reraises_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError, match=r"cannot rename .*/density\.csv\.[0-9a-f]{16}\.tmp$"):
+        atomic_write_text(tmp_path / "density.csv", "price,density\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
@@ -863,6 +882,11 @@ def test_version_flag_reports_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+    # the module entry point, as ``python -m dispersim``
+    done = subprocess.run([sys.executable, "-m", "dispersim", "--version"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"dispersim {__version__}\n", "")
 
 
 #: Subcommands and their help lines, in the order ``dispersim --help`` lists them.

@@ -1,9 +1,10 @@
-"""Traced memory budgets of the two data paths, per input row.
+"""Traced memory budgets of the two data paths, per input row, and of
+storing mean-price paths, per byte written.
 
 Each budget is the ``tracemalloc`` peak above the level at the start of the
-path, divided by the row count. The numbers held are the input columns and
-the result; the budgets leave room for a few full-length float arrays of
-scratch beside them, not for one Python object per row.
+path, divided by the row count or the file size. The numbers held are the
+input columns and the result; the budgets leave room for a few full-length
+float arrays of scratch beside them, not for one Python object per row.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 
-from dispersim.cli import atomic_write_text
+from dispersim.cli import atomic_write_text, main
 from dispersim.dataio import (
     group_std_devs,
     load_sample,
@@ -74,3 +75,14 @@ def test_normalizing_a_table_peaks_under_200_bytes_a_row(tmp_path):
 
     # the loaded columns take 40 bytes a row and the written text about 38
     assert _traced_peak(normalize) <= 200 * rows
+
+
+def test_storing_mean_price_paths_peaks_under_2_5_times_the_file(tmp_path):
+    config = tmp_path / "sde.cfg"
+    config.write_text("sde.omega0 = 0.4\nsde.noise_amp = 0.001\nsde.dt = 0.001\n"
+                      "sde.horizon = 1\nsde.n_paths = 500\nsde.store_paths = true\n")
+    out = tmp_path / "out"
+    peak = _traced_peak(lambda: main(["simulate-meanprice", str(config), "--out", str(out)]))
+    # 500 paths of 1001 points: about 15.5 MB of text, held once as row
+    # strings and once joined; the paths array adds 4 MB
+    assert peak <= 2.5 * (out / "paths.csv").stat().st_size

@@ -24,7 +24,7 @@ from dispersim.estimate import (
     histogram,
     ks_statistic,
 )
-from dispersim.grids import uniform_grid
+from dispersim.grids import GriddedDistribution, uniform_grid
 from dispersim.laws import LaplaceParams, laplace_cdf, laplace_density
 from dispersim.samples import Sample
 
@@ -97,6 +97,8 @@ def test_fit_laplace_degenerate_inputs():
         fit_laplace(Sample(np.array([2.0, 2.0, 2.0])))
     with pytest.raises(DegenerateSample):
         fit_laplace(Sample(np.array([1.0])))
+    with pytest.raises(DegenerateSample, match="mean absolute deviation about 1e\\+308 overflows"):
+        fit_laplace(Sample(np.array([-1e308, 1e308, 1e308])))
 
 
 def test_fit_laplace_refuses_a_median_below_the_floor():
@@ -179,6 +181,11 @@ def test_constant_values_have_no_log_spread():
         fit_shifted_lognormal(
             Sample(np.array([2.0, 2.0, 2.0])), shift_bounds=(0.0, 0.0)
         )
+    # three distinct neighbouring floats whose logs coincide
+    close = np.nextafter(1e300, np.inf, dtype=float)
+    distinct = np.array([1e300, close, np.nextafter(close, np.inf)])
+    with pytest.raises(DegenerateSample, match="^shifted logs carry no spread$"):
+        fit_shifted_lognormal(Sample(distinct), shift_bounds=(0.0, 0.0))
     # a searched shift leaves a variance of rounding noise, not a spread
     with pytest.raises(DegenerateSample, match="all observations coincide"):
         fit_shifted_lognormal(Sample(np.array([2.0, 2.0, 2.0, 2.0, 2.0])))
@@ -347,6 +354,18 @@ def test_histogram_reports_dropped_weight_fraction():
     dist, dropped = histogram(sample, grid)
     assert dropped == pytest.approx(0.5)
     assert dist.cumulative[-1] == 1.0
+    # weighted values that hit each bin many times: each bin adds its weights
+    # in input order, to the bit of an np.add.at accumulation
+    rng = np.random.default_rng(5)
+    values, weights = rng.uniform(-0.2, 1.2, 20_000), rng.exponential(1.0, 20_000)
+    position = np.rint((values - grid[0]) / (grid[1] - grid[0]))
+    inside = (position >= 0) & (position < grid.size)
+    counts = np.zeros(grid.size)
+    np.add.at(counts, position[inside].astype(int), weights[inside])
+    dist, dropped = histogram(Sample(values, weights), grid)
+    expected = GriddedDistribution.from_density(grid, counts)
+    assert dist.density.tobytes() == expected.density.tobytes()
+    assert dropped == 1.0 - weights[inside].sum() / weights.sum()
 
 
 @pytest.mark.parametrize("far", [1e300, -1e300, 1.7e308, -1.7e308])

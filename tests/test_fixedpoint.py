@@ -145,6 +145,8 @@ def test_solver_validates_arguments():
         fixed_point_solve(grid, init=np.ones(100))
     with pytest.raises(ValueError):
         fixed_point_solve(grid, init=-np.ones(101))
+    with pytest.raises(ValueError, match="init density is identically zero"):
+        fixed_point_solve(grid, np.zeros(101))
 
 
 def test_solution_distribution_satisfies_distribution_invariants():

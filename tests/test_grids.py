@@ -158,6 +158,11 @@ def test_constructor_rejects_unnormalized_density():
     grid = uniform_grid(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         GriddedDistribution(grid, np.full(3, 2.0))
+    with pytest.raises(ValueError, match="match the grid shape"):
+        GriddedDistribution(grid, np.ones(4))
+    # unit mass, but one value below the -1e-9 tolerance
+    with pytest.raises(ValueError, match="negative values"):
+        GriddedDistribution(grid, np.array([-2e-9, 1.5, 1.0 + 2e-9]))
 
 
 def test_constructor_rejects_non_finite_values():

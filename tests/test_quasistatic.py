@@ -162,6 +162,10 @@ def test_curves_validation_rejects_wrong_monotonicity():
             x_units=np.array([3.0, 2.0, 1.0]),
             z_units=np.array([2.0, 1.0, 0.0]),
         )
+    with pytest.raises(ValueError, match="match the grid shape"):
+        SupplyDemandCurves(grid, np.ones(4), np.ones(3))
+    with pytest.raises(ValueError, match="match the grid shape"):
+        SupplyDemandCurves(grid, np.ones(3), np.ones(2))
     # a NaN would pass every monotonicity check and make the intercept NaN
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="nonnegative and finite"):
