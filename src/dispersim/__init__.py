@@ -9,101 +9,21 @@ mean-price ensemble (``meanprice``), estimators and goodness of fit
 reproducible command-line layer (``cli``).
 """
 
-from importlib.metadata import PackageNotFoundError, version as _version
+__version__ = "0.1.0"
 
-try:
-    __version__ = _version("dispersim")
-except PackageNotFoundError:
-    __version__ = "0+unknown"
+# Each star import binds the names in its module's ``__all__``, and binds the
+# module itself as an attribute of this package.
+from .errors import *
+from .grids import *
+from .laws import *
+from .quasistatic import *
+from .kinetic import *
+from .fixedpoint import *
+from .meanprice import *
+from .samples import *
+from .estimate import *
+from .dataio import *
 
-from .errors import (
-    ConfigError,
-    DegenerateSample,
-    DispersimError,
-    EmptyFeasibleShift,
-    EmptyInput,
-    InputError,
-    MalformedRow,
-    ModelError,
-    NoIntercept,
-    NonConvergence,
-    QuadratureError,
-    StabilityViolation,
-    ZeroMass,
-    ZeroSalesVolume,
-)
-from .grids import GriddedDistribution, uniform_grid
-from .laws import (
-    LaplaceParams,
-    LognormalParams,
-    laplace_cdf,
-    laplace_density,
-    laplace_eval,
-    lognormal_cdf,
-    lognormal_density,
-    mixture_density,
-)
-from .quasistatic import (
-    SupplyDemandCurves,
-    intercept_price,
-    quasi_static_density,
-    total_sales_rate,
-)
-from .kinetic import (
-    InflowSpec,
-    MarketState,
-    SimResult,
-    initial_state,
-    run,
-    stationary_state,
-)
-from .fixedpoint import FixedPointResult, fixed_point_solve
-from .meanprice import (
-    EnsembleResult,
-    SdeParams,
-    implied_lognormal,
-    simulate_mean_price,
-    walras_rhs,
-)
-from .samples import Sample
-from .estimate import (
-    FitResult,
-    fit_laplace,
-    fit_shifted_lognormal,
-    histogram,
-    ks_statistic,
-)
-from .dataio import (
-    NormalizedGroups,
-    TransactionTable,
-    group_std_devs,
-    load_sample,
-    load_transactions,
-    normalize_prices,
-    write_normalized_samples,
-    write_sample,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError", "DegenerateSample", "DispersimError", "EmptyFeasibleShift",
-    "EmptyInput", "InputError", "MalformedRow", "ModelError", "NoIntercept",
-    "NonConvergence", "QuadratureError", "StabilityViolation", "ZeroMass",
-    "ZeroSalesVolume",
-    "GriddedDistribution", "uniform_grid",
-    "LaplaceParams", "LognormalParams", "laplace_cdf", "laplace_density",
-    "laplace_eval", "lognormal_cdf", "lognormal_density", "mixture_density",
-    "SupplyDemandCurves", "intercept_price", "quasi_static_density",
-    "total_sales_rate",
-    "InflowSpec", "MarketState", "SimResult", "initial_state", "run",
-    "stationary_state",
-    "FixedPointResult", "fixed_point_solve",
-    "EnsembleResult", "SdeParams", "implied_lognormal", "simulate_mean_price",
-    "walras_rhs",
-    "Sample",
-    "FitResult", "fit_laplace", "fit_shifted_lognormal", "histogram",
-    "ks_statistic",
-    "NormalizedGroups", "TransactionTable", "group_std_devs", "load_sample",
-    "load_transactions", "normalize_prices", "write_normalized_samples",
-    "write_sample",
-]
+__all__ = ["__version__", *errors.__all__, *grids.__all__, *laws.__all__,
+           *quasistatic.__all__, *kinetic.__all__, *fixedpoint.__all__,
+           *meanprice.__all__, *samples.__all__, *estimate.__all__, *dataio.__all__]

@@ -145,6 +145,11 @@ def _listed_artifacts(manifest: Path) -> set[str]:
     return set()
 
 
+def _given(**options) -> dict:
+    """The options whose config keys were set; the library's defaults fill the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _grid_from(cfg) -> np.ndarray:
     return uniform_grid(
         get_float(cfg, "grid.min"),
@@ -165,23 +170,21 @@ def _simulate_kinetic(cfg) -> dict[str, str]:
         supply_rate=get_float(cfg, "kinetic.supply_rate"),
         mu_ref=get_float(cfg, "kinetic.mu_ref"),
         sigma_ref=get_float(cfg, "kinetic.sigma_ref"),
-        shape=get_str(cfg, "kinetic.shape", "monotone", choices=INFLOW_SHAPES),
-        jitter=get_float(cfg, "kinetic.jitter", 0.0),
+        **_given(shape=get_str(cfg, "kinetic.shape", None, choices=INFLOW_SHAPES),
+                 jitter=get_float(cfg, "kinetic.jitter", None)),
     )
     eta = get_float(cfg, "kinetic.eta")
     stationary = get_bool(cfg, "kinetic.stationary_init", False)
-    totals = {} if stationary else {
-        "x_total": get_float(cfg, "kinetic.x0", 0.0),
-        "z_total": get_float(cfg, "kinetic.z0", 0.0),
-    }
+    totals = {} if stationary else _given(x_total=get_float(cfg, "kinetic.x0", None),
+                                          z_total=get_float(cfg, "kinetic.z0", None))
     dt = get_float(cfg, "kinetic.dt")
     horizon = get_float(cfg, "kinetic.horizon")
     # read without jitter too: the seed then draws nothing, but is no typo
-    seed = get_int(cfg, "seed", 0)
+    options = _given(seed=get_int(cfg, "seed", None))
     cfg.refuse_unread()
     state = (stationary_state(grid, eta, inflow) if stationary
              else initial_state(grid, eta, inflow, **totals))
-    result = run(state, inflow, dt=dt, horizon=horizon, seed=seed)
+    result = run(state, inflow, dt=dt, horizon=horizon, **options)
     sales = result.sales_histogram
     return {
         "sales_histogram.csv": _table("price,density", sales.grid, sales.density),
@@ -207,7 +210,7 @@ def _simulate_meanprice(cfg) -> dict[str, str]:
         dt=get_float(cfg, "sde.dt"),
         horizon=get_float(cfg, "sde.horizon"),
         n_paths=get_int(cfg, "sde.n_paths"),
-        seed=get_int(cfg, "seed", 0),
+        **_given(seed=get_int(cfg, "seed", None)),
     )
     store_paths = get_bool(cfg, "sde.store_paths", False)
     cfg.refuse_unread()
@@ -233,17 +236,14 @@ def _fixed_point(cfg) -> dict[str, str]:
     grid = _grid_from(cfg)
     init = None
     if get_str(cfg, "fixedpoint.init", "uniform", choices=("uniform", "laplace")) == "laplace":
-        init = LaplaceParams(
+        init = laplace_density(grid, LaplaceParams(
             mu=get_float(cfg, "fixedpoint.init_mu"),
             sigma=get_float(cfg, "fixedpoint.init_sigma"),
-        )
-    tol = get_float(cfg, "fixedpoint.tol", 1e-3)
-    max_iter = get_int(cfg, "fixedpoint.max_iter", 200)
+        ))
+    options = _given(tol=get_float(cfg, "fixedpoint.tol", None),
+                     max_iter=get_int(cfg, "fixedpoint.max_iter", None))
     cfg.refuse_unread()
-    result = fixed_point_solve(
-        grid, None if init is None else laplace_density(grid, init),
-        tol=tol, max_iter=max_iter,
-    )
+    result = fixed_point_solve(grid, init, **options)
     law = result.distribution
     return {
         "density.csv": _table("price,density", law.grid, law.density),
@@ -259,14 +259,14 @@ def _mixture(cfg) -> dict[str, str]:
     law = LognormalParams(
         gamma=get_float(cfg, "mixture.gamma"),
         omega=get_float(cfg, "mixture.omega"),
-        shift=get_float(cfg, "mixture.shift", 0.0),
+        **_given(shift=get_float(cfg, "mixture.shift", None)),
     )
-    options = {
-        "floor": get_float(cfg, "mixture.floor", 0.0),
-        "conditional_scale": get_float(cfg, "mixture.conditional_scale", 1.0),
-        "n_nodes": get_int(cfg, "mixture.n_nodes", 4097),
-        "rel_tol": get_float(cfg, "mixture.rel_tol", 1e-6),
-    }
+    options = _given(
+        floor=get_float(cfg, "mixture.floor", None),
+        conditional_scale=get_float(cfg, "mixture.conditional_scale", None),
+        n_nodes=get_int(cfg, "mixture.n_nodes", None),
+        rel_tol=get_float(cfg, "mixture.rel_tol", None),
+    )
     cfg.refuse_unread()
     density = mixture_density(grid, law, **options)
     return {"density.csv": _table("price,density", grid, density)}
@@ -291,33 +291,31 @@ def _fit(cfg) -> dict[str, str]:
     # fit first: a sample too degenerate to fit, such as one whose values all
     # coincide, is the model's refusal, not an empty default grid
     if family == FAMILY_LAPLACE:
-        result = fit_laplace(sample)
+        result, density = fit_laplace(sample), laplace_density
     else:
-        result = fit_shifted_lognormal(sample, shift_bounds=bounds)
+        result, density = fit_shifted_lognormal(sample, shift_bounds=bounds), lognormal_density
     grid = uniform_grid(
         float(sample.values.min()) if grid_min is None else grid_min,
         float(sample.values.max()) if grid_max is None else grid_max,
         grid_points,
     )
     empirical, _ = histogram(sample, grid)
-    density = laplace_density if family == FAMILY_LAPLACE else lognormal_density
-    fitted = density(grid, result.params)
     return {
         "fit.txt": _keyvalue(result.to_record().items()),
         "series.csv": _table(
             "price,empirical_density,fitted_density",
-            grid, empirical.density, fitted,
+            grid, empirical.density, density(grid, result.params),
         ),
     }
 
 
 def _normalize(cfg) -> dict[str, str]:
     path = get_str(cfg, "normalize.input")
-    grouping = get_str(cfg, "normalize.grouping", "good", choices=GROUPINGS)
-    weighted = get_bool(cfg, "normalize.weighted", True)
+    options = _given(grouping=get_str(cfg, "normalize.grouping", None, choices=GROUPINGS),
+                     weighted=get_bool(cfg, "normalize.weighted", None))
     cfg.refuse_unread()
     table = load_transactions(path)
-    groups = normalize_prices(table, grouping=grouping, weighted=weighted)
+    groups = normalize_prices(table, **options)
     stds, skipped = group_std_devs(groups)
     return {
         "normalized.csv": write_normalized_samples(groups),

@@ -55,6 +55,11 @@ import numpy as np
 from .errors import EmptyInput, MalformedRow, ModelError
 from .samples import Sample, unit_scaled
 
+__all__ = [
+    "NormalizedGroups", "TransactionTable", "group_std_devs", "load_sample",
+    "load_transactions", "normalize_prices", "write_normalized_samples", "write_sample",
+]
+
 HEADER = ("good_id", "market_id", "quarter", "price", "quantity")
 _ID_COLUMNS = HEADER[:3]
 SAMPLE_HEADERS = (("value",), ("value", "weight"))

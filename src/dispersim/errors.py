@@ -9,6 +9,13 @@ stability bounds) and maps to exit code 2.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConfigError", "DegenerateSample", "DispersimError", "EmptyFeasibleShift",
+    "EmptyInput", "InputError", "MalformedRow", "ModelError", "NoIntercept",
+    "NonConvergence", "QuadratureError", "StabilityViolation", "ZeroMass",
+    "ZeroSalesVolume",
+]
+
 
 class DispersimError(Exception):
     """Base class for all package-specific errors."""

@@ -33,6 +33,8 @@ from .laws import (
 )
 from .samples import Sample, unit_scaled
 
+__all__ = ["FitResult", "fit_laplace", "fit_shifted_lognormal", "histogram", "ks_statistic"]
+
 FAMILY_LAPLACE = "laplace"
 FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
 

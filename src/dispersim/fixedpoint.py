@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonConvergence, ZeroMass
 from .grids import GriddedDistribution, checked_grid, running_trapezoid, trapezoid_areas
 
-__all__ = ["FixedPointResult", "fixed_point_map", "fixed_point_solve"]
+__all__ = ["FixedPointResult", "fixed_point_solve"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,36 @@ import numpy as np
 
 from .errors import ModelError, ZeroMass
 
+__all__ = ["GriddedDistribution", "uniform_grid"]
+
 #: Tolerance on normalization and monotonicity of gridded distributions.
 NORMALIZATION_TOL = 1e-9
+
+#: Most bytes that a run's per-step arrays may take, checked before they exist.
+STEP_BUDGET = 1 << 30
+
+
+def step_count(dt: float, horizon: float, step_bytes: int = 0) -> int:
+    """Whole steps of ``dt`` in ``horizon``: ``round(horizon / dt)``, at least 1.
+
+    ``dt`` must be positive and ``horizon`` finite and at least ``dt``, which
+    makes the quotient at least 1. A caller that holds ``step_bytes`` per
+    step asks for the count before it allocates, and the count is refused
+    when those bytes would pass :data:`STEP_BUDGET`, or when the quotient
+    overflows the float range. Each refusal is a ``ValueError`` that names
+    ``dt``.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not dt <= horizon < math.inf:
+        raise ValueError("horizon must be finite and at least dt")
+    steps = float(horizon) / float(dt)
+    if steps == math.inf:
+        raise ValueError(f"dt = {dt!r} is too small: horizon / dt overflows")
+    if steps * step_bytes > STEP_BUDGET:
+        raise ValueError(f"dt = {dt!r} makes {steps:.3g} steps of {step_bytes} bytes, "
+                         f"past the {STEP_BUDGET}-byte budget of per-step arrays")
+    return round(steps)
 
 
 def uniform_grid(p_min: float, p_max: float, n_points: int) -> np.ndarray:

@@ -35,8 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
-from .grids import GriddedDistribution, checked_grid, trapezoid
+from .grids import GriddedDistribution, checked_grid, step_count, trapezoid
 from .laws import LaplaceParams, laplace_cdf, laplace_density
+
+__all__ = [
+    "InflowSpec", "MarketState", "SimResult", "initial_state", "run", "stationary_state",
+]
 
 #: Largest admissible per-bin depletion fraction per step.
 STABILITY_BOUND = 0.1
@@ -216,7 +220,8 @@ def run(
     Each step transacts ``min(eta * x_i * z_i * dt, x_i, z_i)`` units per
     bin, removes them from both sides, tallies them as sales at the bin
     price, then deposits the inflows (scaled by the per-step jitter factors)
-    and advances the clock. The number of steps is ``round(horizon / dt)``.
+    and advances the clock. The number of steps is ``round(horizon / dt)``,
+    from :func:`~dispersim.grids.step_count`.
     The result is deterministic given ``(initial, inflow, dt, seed)``; the
     seed only feeds the optional inflow jitter.
 
@@ -249,6 +254,10 @@ def run(
 
     Raises
     ------
+    ValueError
+        If ``dt`` or ``horizon`` is out of range, or the four per-step series,
+        32 bytes a step, would pass :data:`~dispersim.grids.STEP_BUDGET`; this
+        is checked before any per-step array exists.
     StabilityViolation
         If the initial stocks already violate ``eta * stock * dt < 0.1``
         in some bin.
@@ -259,10 +268,7 @@ def run(
         If the whole run transacts nothing, leaving no sales law to
         normalize.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not dt <= horizon < math.inf:
-        raise ValueError("horizon must be finite and at least dt")
+    n_steps = step_count(dt, horizon, 32)
     eta_dt = initial.eta * dt
     peak_stock = max(float(np.max(initial.x_bins)), float(np.max(initial.z_bins)), 0.0)
     worst = eta_dt * peak_stock
@@ -271,7 +277,6 @@ def run(
             f"eta * stock * dt = {worst:.3g} violates the stability bound "
             f"{STABILITY_BOUND}; shrink dt or eta"
         )
-    n_steps = max(int(round(horizon / dt)), 1)
     rng = np.random.default_rng(seed)
 
     grid = initial.grid
@@ -389,12 +394,7 @@ def initial_state(
 ) -> MarketState:
     """Market state with initial stocks spread like the inflow shapes."""
     d_weights, s_weights = inflow.bin_weights(grid)
-    return MarketState(
-        grid=np.asarray(grid, dtype=float),
-        x_bins=x_total * d_weights,
-        z_bins=z_total * s_weights,
-        eta=eta,
-    )
+    return MarketState(grid=grid, x_bins=x_total * d_weights, z_bins=z_total * s_weights, eta=eta)
 
 
 def stationary_state(grid, eta: float, inflow: InflowSpec) -> MarketState:
@@ -413,9 +413,4 @@ def stationary_state(grid, eta: float, inflow: InflowSpec) -> MarketState:
         raise ValueError("eta must be positive")
     d_weights, _ = inflow.bin_weights(grid)
     stock = np.sqrt(inflow.demand_rate * d_weights / eta)
-    return MarketState(
-        grid=np.asarray(grid, dtype=float),
-        x_bins=stock,
-        z_bins=stock.copy(),
-        eta=eta,
-    )
+    return MarketState(grid=grid, x_bins=stock, z_bins=stock.copy(), eta=eta)

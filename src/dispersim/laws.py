@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import QuadratureError
 
+__all__ = [
+    "LaplaceParams", "LognormalParams", "laplace_cdf", "laplace_density", "laplace_eval",
+    "lognormal_cdf", "lognormal_density", "mixture_density",
+]
+
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+#: Smallest positive normal float.
+_TINY = np.finfo(float).tiny
 
 #: Most elements of one ``(block, 2, m)`` quadrature buffer. The three
 #: buffers of a rule then take 768 KiB, within a 1 MiB L2 cache.
@@ -122,27 +130,61 @@ class LognormalParams:
 
 
 def _on_support(values, shift: float, law) -> np.ndarray:
-    """``law(x)`` at ``x = values - shift`` where ``x > 0``, zero elsewhere.
+    """``law(x)`` at ``x = values - shift`` where ``values > shift``, zero elsewhere.
 
-    A scalar ``values`` gives a scalar.
+    Only the positive differences are taken, so none overflows. A scalar
+    ``values`` gives a scalar.
     """
-    x = np.atleast_1d(np.asarray(values, dtype=float)) - shift
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = law(x[pos])
-    if np.isscalar(values) or np.asarray(values).ndim == 0:
-        return out[0]
-    return out
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    out = np.zeros_like(v)
+    pos = v > shift
+    out[pos] = law(v[pos] - shift)
+    return out[0] if np.ndim(values) == 0 else out
+
+
+def _log_ratio(x: np.ndarray, gamma: float) -> np.ndarray:
+    """``log(x / gamma)`` for positive finite ``x``, without overflow.
+
+    Where the quotient is a normal float this is the log of the quotient.
+    Elsewhere the quotient overflows, or loses bits below the normal range,
+    and the log is taken as ``log(x) - log(gamma)``.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = x / gamma
+        log_ratio = np.log(ratio)
+    odd = ~((_TINY <= ratio) & (ratio < np.inf))
+    log_ratio[odd] = np.log(x[odd]) - math.log(gamma)
+    return log_ratio
 
 
 def lognormal_density(values, params: LognormalParams) -> np.ndarray:
-    """Density of the shifted lognormal law, zero at and below the shift."""
+    """Density of the shifted lognormal law, zero at and below the shift.
+
+    The plain form ``exp(-log(x / gamma)**2 / (2 omega**2)) / (sqrt(2 pi)
+    omega x)`` is kept where its denominator is a normal float and its
+    numerator is normal too, or its denominator is at least 1: a numerator
+    that underflowed then leaves the quotient below the normal range, as
+    the density is. Elsewhere, as for ``x`` near the float maximum or an
+    ``omega`` whose square leaves the float range, the density is taken in
+    log space.
+    """
+    gamma, omega = params.gamma, params.omega
 
     def law(x):
-        log_term = np.log(x / params.gamma)
-        return np.exp(-(log_term**2) / (2.0 * params.omega**2)) / (
-            np.sqrt(2.0 * np.pi) * params.omega * x
-        )
+        log_term = _log_ratio(x, gamma)
+        # the plain form's overflows and NaNs all fall in ``odd``, redone below;
+        # omega is squared as a numpy float, which overflows to inf where a
+        # Python float's square raises
+        with np.errstate(all="ignore"):
+            scale = np.sqrt(2.0 * np.pi) * omega * x
+            peak = np.exp(-(log_term**2) / (2.0 * np.float64(omega) ** 2))
+            density = peak / scale
+            odd = ~((_TINY <= scale) & (scale < np.inf)
+                    & ((peak >= _TINY) | ((scale >= 1.0) & (peak >= 0.0))))
+            z = log_term[odd] / omega
+            density[odd] = np.exp(-0.5 * z * z - np.log(x[odd])
+                                  - (math.log(omega) + 0.5 * math.log(2.0 * math.pi)))
+        return density
 
     return _on_support(values, params.shift, law)
 
@@ -151,7 +193,8 @@ def lognormal_cdf(values, params: LognormalParams) -> np.ndarray:
     """Cumulative of the shifted lognormal law, ``0.5 * erfc(-z / sqrt(2))``."""
 
     def law(x):
-        z = np.log(x / params.gamma) / params.omega
+        with np.errstate(over="ignore"):  # a z past the float range has the limit's value
+            z = _log_ratio(x, params.gamma) / params.omega
         return 0.5 * _erfc(-z / np.sqrt(2.0)).astype(float)
 
     return _on_support(values, params.shift, law)

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample
+from .grids import step_count
 from .laws import LognormalParams
+
+__all__ = [
+    "EnsembleResult", "SdeParams", "implied_lognormal", "simulate_mean_price",
+    "walras_rhs",
+]
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,13 @@ class SdeParams:
             raise ValueError("omega0 must be positive and finite")
         if not 0.0 <= self.noise_amp < math.inf:
             raise ValueError("noise_amp must be nonnegative and finite")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not self.dt <= self.horizon < math.inf:
-            raise ValueError("horizon must be finite and at least dt")
+        step_count(self.dt, self.horizon)
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 
     @property
     def n_steps(self) -> int:
-        return max(int(round(self.horizon / self.dt)), 1)
+        return step_count(self.dt, self.horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +110,20 @@ def simulate_mean_price(params: SdeParams, store_paths: bool = False) -> Ensembl
     size, and the terminal values are bitwise the same with and without
     stored paths. Positivity of every gap is structural: only logs are
     ever drawn.
+
+    Raises
+    ------
+    ValueError
+        If stored paths, 16 bytes a path and step, would pass
+        :data:`~dispersim.grids.STEP_BUDGET`; this is checked before they
+        are allocated.
     """
-    n_steps = params.n_steps
+    n_steps = step_count(params.dt, params.horizon, 16 * params.n_paths if store_paths else 0)
     step_scale = np.sqrt(2.0 * params.noise_amp * params.dt)
     log_omega0 = np.log(params.omega0)
     terminal_seq, bridge_seq = np.random.SeedSequence(params.seed).spawn(2)
     xi = np.random.default_rng(terminal_seq).standard_normal(params.n_paths)
-    log_gain = step_scale * np.sqrt(n_steps) * xi
+    log_gain = step_scale * math.sqrt(n_steps) * xi
     terminal = np.exp(log_omega0 + log_gain)
     paths = None
     if store_paths:

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import NoIntercept, ZeroSalesVolume
 from .grids import GriddedDistribution, checked_grid, trapezoid
 
+__all__ = ["SupplyDemandCurves", "intercept_price", "quasi_static_density", "total_sales_rate"]
+
 #: Overlap integrals below this are treated as no market at all.
 OVERLAP_FLOOR = 1e-12
 
@@ -158,6 +160,10 @@ def intercept_price(curves: SupplyDemandCurves) -> float:
         raise NoIntercept("outstanding demand exceeds supply on the whole grid")
     j = int(crossing[0])
     p_lo, p_hi = curves.grid[j - 1], curves.grid[j]
-    # gap[0] > 0 and j is the first index with gap <= 0, so gap[j - 1] > 0 >= gap[j]
-    g_lo, g_hi = gap[j - 1], gap[j]
-    return float(p_lo + (p_hi - p_lo) * g_lo / (g_lo - g_hi))
+    # gap[0] > 0 and j is the first index with gap <= 0, so gap[j - 1] > 0 >= gap[j].
+    # The crossing's fraction gap[j - 1] / (gap[j - 1] - gap[j]) of the cell
+    # is formed from the gaps' ratio, in Python floats: neither their
+    # difference nor a product with the cell width is built, and a ratio
+    # that overflows gives inf and the fraction's limit 0, without a warning.
+    t = 1.0 / (1.0 - float(gap[j]) / float(gap[j - 1]))
+    return float(p_lo + t * (p_hi - p_lo))

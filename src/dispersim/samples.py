@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["Sample"]
+
 
 def unit_scaled(x: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
     """``x`` scaled per group by a power of two, and each group's exponent.

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import dispersim
 from dispersim import GriddedDistribution
+
+#: The modules whose ``__all__`` the package does not re-export.
+NOT_REEXPORTED = {"__main__", "cli", "config"}
+
+MODULES = [importlib.import_module(f"dispersim.{info.name}")
+           for info in pkgutil.iter_modules(dispersim.__path__)
+           if info.name not in NOT_REEXPORTED]
 
 PUBLIC = [
     "ConfigError", "DegenerateSample", "DispersimError", "EmptyFeasibleShift",
@@ -32,6 +42,20 @@ def test_all_lists_exactly_the_public_names_once():
     assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 56
     assert len(dispersim.__all__) == len(set(dispersim.__all__))
     assert sorted(dispersim.__all__) == PUBLIC
+
+
+def test_each_module_lists_only_names_it_defines():
+    assert len(MODULES) == 10
+    for module in MODULES:
+        assert module.__all__, module.__name__
+        foreign = [n for n in module.__all__ if getattr(module, n).__module__ != module.__name__]
+        assert foreign == [], module.__name__
+
+
+def test_the_package_exports_the_version_and_the_module_lists_once():
+    names = ["__version__", *(name for module in MODULES for name in module.__all__)]
+    assert len(names) == len(set(names))
+    assert sorted(dispersim.__all__) == sorted(names)
 
 
 def test_every_public_name_resolves():

@@ -9,6 +9,7 @@ config parser.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 from dispersim import __version__
 from dispersim.cli import _column, _parser, _table, atomic_write_text, main
 from dispersim.config import parse_config
-from dispersim.dataio import load_sample, write_sample
+from dispersim.dataio import load_sample, normalize_prices, write_sample
 from dispersim.estimate import fit_laplace, histogram
 from dispersim.fixedpoint import fixed_point_solve
 from dispersim.grids import uniform_grid
@@ -287,6 +288,14 @@ def test_kinetic_books_that_overflow_exit_2_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_a_kinetic_dt_past_the_step_budget_exits_1_naming_dt(tmp_path, capsys):
+    code, out = _run(tmp_path, "simulate-kinetic",
+                     KINETIC_CFG.replace("kinetic.dt = 0.01", "kinetic.dt = 1e-300"))
+    assert code == 1
+    assert "dt = 1e-300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_keys_the_run_would_ignore_exit_1(tmp_path, capsys):
     code, out = _run(tmp_path, "simulate-kinetic", KINETIC_CFG + "kinetic.x0 = 1e9\n")
     assert code == 1
@@ -363,6 +372,17 @@ def test_meanprice_command_stores_paths(tmp_path):
 # dt = 0.1 gives times such as 0.30000000000000004 and dt = 1e-05 times in
 # exponent form such as 2e-05, so every float goes through repr exactly as
 # numpy scalars formatted one by one would; 12 paths give two-digit ids
+def test_a_tiny_meanprice_dt_runs_without_paths_and_is_refused_with_them(tmp_path, capsys):
+    cfg = SDE_CFG.replace("sde.dt = 0.25", "sde.dt = 1e-300")
+    code, out = _run(tmp_path, "simulate-meanprice", cfg.replace("sde.store_paths = true\n", ""))
+    assert code == 0
+    assert sorted(_dir_bytes(out)) == ["manifest.txt", "summary.txt", "terminal.csv"]
+    code, out = _run(tmp_path, "simulate-meanprice", cfg, "paths")
+    assert code == 1
+    assert "dt = 1e-300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dt, horizon, n_paths", [
     (0.1, 1.0, 7), (0.1, 1.0, 12), (1e-05, 5e-05, 7)])
 def test_paths_csv_bytes_match_per_element_formatting(tmp_path, dt, horizon, n_paths):
@@ -504,6 +524,48 @@ def test_a_failed_rename_reraises_and_leaves_no_temp_file(tmp_path, monkeypatch)
     with pytest.raises(PermissionError, match=r"cannot rename .*/density\.csv\.[0-9a-f]{16}\.tmp$"):
         atomic_write_text(tmp_path / "density.csv", "price,density\n")
     assert list(tmp_path.iterdir()) == []
+
+
+#: Each subcommand's config without its optional model keys, and for each
+#: such key the library callable and parameter whose signature holds its default.
+LIBRARY_DEFAULTS = {
+    "simulate-kinetic": (
+        KINETIC_CFG.replace("kinetic.shape = matched\n", "")
+        .replace("kinetic.stationary_init = yes\n", ""),
+        {"kinetic.shape": (InflowSpec, "shape"), "kinetic.jitter": (InflowSpec, "jitter"),
+         "kinetic.x0": (initial_state, "x_total"), "kinetic.z0": (initial_state, "z_total"),
+         "seed": (run, "seed")}),
+    "simulate-meanprice": (SDE_CFG.replace("seed = 3\n", ""), {"seed": (SdeParams, "seed")}),
+    "fixed-point": (
+        FIXED_POINT_CFG.replace("grid.points = 201", "grid.points = 51")
+        .replace("fixedpoint.tol = 1e-2\n", ""),
+        {"fixedpoint.tol": (fixed_point_solve, "tol"),
+         "fixedpoint.max_iter": (fixed_point_solve, "max_iter")}),
+    "mixture": (MIXTURE_CFG, {
+        "mixture.shift": (LognormalParams, "shift"), "mixture.floor": (mixture_density, "floor"),
+        "mixture.conditional_scale": (mixture_density, "conditional_scale"),
+        "mixture.n_nodes": (mixture_density, "n_nodes"),
+        "mixture.rel_tol": (mixture_density, "rel_tol")}),
+    "normalize": (None, {"normalize.grouping": (normalize_prices, "grouping"),
+                         "normalize.weighted": (normalize_prices, "weighted")}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_DEFAULTS))
+def test_omitted_optional_keys_take_the_library_defaults(tmp_path, command):
+    cfg, keys = LIBRARY_DEFAULTS[command]
+    cfg = cfg or _valid_configs(tmp_path)[command]
+    words = []
+    for key, (library, parameter) in keys.items():
+        default = inspect.signature(library).parameters[parameter].default
+        assert key not in cfg and default is not inspect.Parameter.empty
+        words.append(f"{key} = {str(default).lower() if isinstance(default, bool) else default}\n")
+    code_a, out_a = _run(tmp_path, command, cfg, "omitted")
+    code_b, out_b = _run(tmp_path, command, cfg + "".join(words), "set")
+    assert code_a == code_b == 0
+    bytes_a, bytes_b = _dir_bytes(out_a), _dir_bytes(out_b)
+    del bytes_a["manifest.txt"], bytes_b["manifest.txt"]
+    assert bytes_a == bytes_b
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
@@ -729,6 +791,15 @@ def test_fit_lognormal_of_subnormal_values_ends(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("dispersim: error: the shift profile has no local maximum")
     assert not out.exists()
+
+
+def test_fit_lognormal_on_a_grid_to_the_float_maximum_warns_nothing(tmp_path):
+    # the fitted omega is about 1.5, so sqrt(2 pi) * omega * x overflows near 1e308
+    draws = np.exp(1.5 * np.random.default_rng(4).standard_normal(200))
+    done, out = _fit_in_child(tmp_path, "".join(f"{v!r}\n" for v in draws.tolist()),
+                              "fit.family = shifted-lognormal\nfit.grid_max = 1e308\n")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (out / "series.csv").exists()
 
 
 def test_fit_laplace_whose_deviations_overflow_exits_2_without_artifacts(tmp_path):

@@ -22,8 +22,10 @@ from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
 from dispersim.errors import ModelError, ZeroMass
 from dispersim.grids import (
+    STEP_BUDGET,
     GriddedDistribution,
     cumulative_trapezoid,
+    step_count,
     trapezoid,
     uniform_grid,
 )
@@ -52,6 +54,25 @@ def test_uniform_grid_refuses_a_range_whose_ends_or_span_are_not_finite(p_min, p
     # linspace over such a span returns NaN and inf nodes
     with pytest.raises(ValueError, match=r"grid range \[.*\] must have finite ends and span"):
         uniform_grid(p_min, p_max, 5)
+
+
+def test_step_count_rounds_and_keeps_the_byte_budget():
+    assert step_count(0.3, 1.0) == 3 and step_count(0.25, 1.1) == 4
+    assert step_count(1.0, 1.0) == 1
+    steps = STEP_BUDGET // 32
+    assert step_count(1.0, float(steps), 32) == steps
+    with pytest.raises(ValueError, match=r"dt = 1\.0 makes .* past the 1073741824-byte budget"):
+        step_count(1.0, float(steps + 1), 32)
+    # a count past any budget is still a count when nothing is held per step
+    assert step_count(1e-300, 1.0) == round(1.0 / 1e-300)
+    with pytest.raises(ValueError, match="horizon / dt overflows"):
+        step_count(5e-324, 1.0)
+    for dt, horizon, message in [(0.0, 1.0, "dt must be positive"),
+                                 (np.nan, 1.0, "dt must be positive"),
+                                 (1.0, 0.5, "horizon must be finite and at least dt"),
+                                 (0.1, np.inf, "horizon must be finite and at least dt")]:
+        with pytest.raises(ValueError, match=message):
+            step_count(dt, horizon)
 
 
 def test_trapezoid_matches_quadratic_rule():

@@ -3,7 +3,8 @@
 Each test starts a fresh interpreter with ``PYTHONPATH=src``, so modules
 that this test session has already imported (scipy among them) cannot hide
 an import. The child imports ``dispersim`` and ``dispersim.cli``, runs the
-given ``cli.main`` calls, and reports the scipy modules loaded after each.
+given ``cli.main`` calls, and reports the scipy modules loaded after each,
+and whether the import loaded ``importlib.metadata``.
 With ``block`` it first sets ``sys.modules["scipy"] = None``, so that any
 attempt to import scipy raises, as it would where scipy is not installed.
 These tests need only numpy, pytest and hypothesis.
@@ -35,7 +36,7 @@ def scipy_modules():
     return sorted(m for m, module in sys.modules.items()
                   if module is not None and (m == "scipy" or m.startswith("scipy.")))
 
-report = {"import": scipy_modules()}
+report = {"import": scipy_modules(), "metadata": "importlib.metadata" in sys.modules}
 for name, command, config in json.loads(sys.argv[1]):
     code = dispersim.cli.main([command, config, "--out", name])
     report[name] = [code, scipy_modules()]
@@ -81,6 +82,11 @@ def _child(tmp_path, names, block=False) -> dict:
 
 def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
     assert _child(tmp_path, [])["import"] == []
+
+
+def test_importing_the_cli_reads_no_installed_metadata(tmp_path):
+    # the version is the package's own constant, so no lookup costs the start-up
+    assert _child(tmp_path, [])["metadata"] is False
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

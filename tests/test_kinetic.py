@@ -219,6 +219,22 @@ def test_run_rejects_bad_step_sizes():
         run(state, _quiet_inflow(), dt=0.1, horizon=np.inf)
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e-9])
+def test_a_step_count_past_the_budget_is_refused_before_allocating(dt):
+    # 1e9 steps would take 32 GB of per-step series, 1e300 more than numpy allows
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(100.0, 100.0, mu_ref=1.0, sigma_ref=0.2)
+    state = initial_state(grid, 1.0, inflow)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dt = {dt!r}"):
+            run(state, inflow, dt=dt, horizon=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_run_without_transactions_raises():
     grid = uniform_grid(0.0, 2.0, 11)
     inflow = InflowSpec(1.0, 1.0, mu_ref=1.0, sigma_ref=0.2)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.special import ndtr, roots_legendre
@@ -167,6 +168,61 @@ def test_lognormal_moments_against_quadrature():
 
     num_var = quad(integrand_sq, 0.2, np.inf)[0]
     assert var == pytest.approx(num_var, rel=1e-8)
+
+
+TINY = np.finfo(float).tiny
+positive_floats = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+def _lognormal_oracle(x: float, gamma: float, omega: float) -> tuple[float, float]:
+    """Density and cumulative at ``x > 0`` in log space, from Python floats.
+
+    ``log(x / gamma)`` is the quotient's log where that quotient is a normal
+    float and ``log(x) - log(gamma)`` elsewhere; Python's float division
+    and products give inf on overflow without a warning.
+    """
+    ratio = x / gamma
+    log_ratio = math.log(ratio) if TINY <= ratio < math.inf else math.log(x) - math.log(gamma)
+    z = log_ratio / omega
+    log_density = -0.5 * z * z - math.log(omega) - 0.5 * math.log(2.0 * math.pi) - math.log(x)
+    density = math.exp(log_density) if log_density < 709.0 else math.inf
+    return density, 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       positive_floats, positive_floats, st.floats(min_value=0.0, max_value=1e308))
+@example([1e308, 1.7e308], 1.0, 1.5, 0.0)  # sqrt(2 pi) * omega * x overflows
+@example([1.0, 1e300], 1e-300, 3.0, 0.0)  # x / gamma overflows
+@example([1e-300], 1e10, 300.0, 0.0)  # x / gamma underflows to a subnormal
+@example([1e-291], 1.1548224173015787e-308, 1.0, 0.0)  # exp underflows, 1 / scale is huge
+@example([1e200], 1e200, 1e-170, 0.0)  # 2 omega**2 underflows to 0 at x = gamma
+@example([1.0], 1.0, 1e200, 0.0)  # omega**2 overflows
+@example([-1.7e308, 1.7e308], 1.0, 1.0, 1.7e308)  # values - shift overflows below the shift
+def test_lognormal_laws_are_right_over_the_float_range(values, gamma, omega, shift):
+    params = LognormalParams(gamma=gamma, omega=omega, shift=shift)
+    density = lognormal_density(np.array(values), params)
+    cumulative = lognormal_cdf(np.array(values), params)
+    for v, d, c in zip(values, density.tolist(), cumulative.tolist()):
+        if not v > shift:
+            assert d == 0.0 and c == 0.0
+            continue
+        want_d, want_c = _lognormal_oracle(v - shift, gamma, omega)
+        assert math.isclose(d, want_d, rel_tol=1e-9, abs_tol=2 * TINY), (v, d, want_d)
+        assert math.isclose(c, want_c, rel_tol=1e-9, abs_tol=TINY), (v, c, want_c)
+
+
+@pytest.mark.parametrize("params", [LognormalParams(1.0, 0.3), LognormalParams(2.5, 1.7, 0.5)])
+def test_lognormal_laws_keep_the_plain_formulas_bits_inside_the_float_range(params):
+    values = np.linspace(params.shift + 1e-3, 60.0, 20001)
+    x = values - params.shift
+    log_term = np.log(x / params.gamma)
+    density = np.exp(-(log_term**2) / (2.0 * params.omega**2)) / (
+        np.sqrt(2.0 * np.pi) * params.omega * x)
+    z = log_term / params.omega
+    cumulative = 0.5 * np.array([math.erfc(v) for v in (-z / np.sqrt(2.0)).tolist()])
+    assert lognormal_density(values, params).tobytes() == density.tobytes()
+    assert lognormal_cdf(values, params).tobytes() == cumulative.tobytes()
 
 
 def test_lognormal_density_scalar_in_scalar_out():

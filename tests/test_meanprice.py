@@ -157,6 +157,25 @@ def test_terminal_only_run_allocates_per_path_not_per_step():
     assert peak < 1_000_000
 
 
+def test_stored_paths_past_the_budget_are_refused_before_allocating():
+    # 3e9 path steps would take 48 GB; the terminal-only run of the same
+    # parameters, and of a dt whose step count only a Python int holds, still runs
+    params = _params(dt=1e-9, horizon=1.0, n_paths=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dt = 1e-09"):
+            simulate_mean_price(params, store_paths=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    for dt in (1e-9, 1e-300):
+        result = simulate_mean_price(_params(dt=dt, horizon=1.0, n_paths=3))
+        assert np.all(np.isfinite(result.terminal))
+    with pytest.raises(ValueError, match="overflows"):
+        _params(dt=5e-324, horizon=1.0)
+
+
 def test_stored_paths_have_expected_geometry():
     params = _params(n_paths=5, dt=0.25, horizon=1.0)
     result = simulate_mean_price(params, store_paths=True)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dispersim.errors import NoIntercept, ZeroSalesVolume
@@ -209,6 +211,48 @@ def test_intercept_residual_is_negligible():
     z_at = np.interp(p_star, grid, curves.z_units)
     bound = 1e-9 * max(curves.x_units[0], curves.z_units[-1])
     assert abs(x_at - z_at) <= bound
+
+
+def test_intercept_near_the_float_maximum():
+    grid = np.array([0.0, 2.0, 4.0])
+    curves = SupplyDemandCurves(grid, [1.7e308, 1.7e308, 0.0], [0.0, 1.7e308, 1.7e308])
+    assert intercept_price(curves) == 2.0
+    # gaps 1e307 and -1.7e308 cross at 2 + 2 * 1e307 / 1.8e308
+    curves = SupplyDemandCurves(grid, [1.7e308, 1.6e308, 0.0], [0.0, 1.5e308, 1.7e308])
+    assert intercept_price(curves) == pytest.approx(2.0 + 1.0 / 9.0, rel=1e-15)
+
+
+units = st.floats(min_value=0.0, max_value=1.7976931348623157e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300),
+       st.lists(st.tuples(units, units), min_size=2, max_size=6))
+@example(0.0, 4.0, [(1.7e308, 0.0), (1.7e308, 1.7e308), (0.0, 1.7e308)])
+@example(0.0, 4.0, [(1.7e308, 0.0), (1.6e308, 1.5e308), (0.0, 1.7e308)])
+@example(0.0, 1.0, [(5e-324, 0.0), (0.0, 1.7e308)])  # the gaps' ratio overflows
+def test_intercept_is_the_exact_crossing_over_the_float_range(p_min, width, units_pairs):
+    # grids come from uniform_grid, which refuses a span past the float range
+    try:
+        grid = uniform_grid(p_min, p_min + width, len(units_pairs))
+        x_units, z_units = zip(*units_pairs)
+        curves = SupplyDemandCurves(grid, sorted(x_units, reverse=True), sorted(z_units))
+    except ValueError:
+        assume(False)
+    gap = curves.x_units - curves.z_units
+    crossing = np.nonzero(gap <= 0.0)[0]
+    if gap[0] < 0.0 or crossing.size == 0:
+        with pytest.raises(NoIntercept):
+            intercept_price(curves)
+        return
+    p_star = intercept_price(curves)
+    j = int(crossing[0])
+    if j == 0:
+        assert p_star == grid[0]
+        return
+    p_lo, p_hi, g_lo, g_hi = (Fraction(float(v)) for v in (grid[j - 1], grid[j], gap[j - 1], gap[j]))
+    exact = p_lo + g_lo / (g_lo - g_hi) * (p_hi - p_lo)
+    assert abs(Fraction(p_star) - exact) <= 8 * Fraction(2.0**-52) * (abs(p_lo) + abs(p_hi))
 
 
 def test_no_intercept_when_curves_never_cross():
