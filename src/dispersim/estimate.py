@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSample, EmptyFeasibleShift
-from .grids import GriddedDistribution
+from .grids import GriddedDistribution, checked_grid
 from .laws import (
     LaplaceParams,
     LognormalParams,
@@ -303,18 +303,14 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     """
     if sample.size == 0:
         raise DegenerateSample("cannot bin an empty sample")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be 1-D with at least 2 centers")
+    grid = checked_grid(grid)
     spacing = np.diff(grid)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("histogram grid must be uniform")
     h = float(spacing[0])
     with np.errstate(over="ignore"):
         # a value far off the grid may land on an infinite position
-        position = np.subtract(sample.values, grid[0])
-        np.divide(position, h, out=position)
-        np.rint(position, out=position)
+        position = np.rint((sample.values - grid[0]) / h)
     # mask before the cast: a position beyond the int range has no int
     inside = (position >= 0) & (position < grid.size)
     position = position[inside]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, ZeroMass
-from .grids import GriddedDistribution, checked_grid, running_trapezoid, trapezoid_areas
+from .grids import GriddedDistribution, checked_grid, on_grid, running_trapezoid, trapezoid_areas
 
 __all__ = ["FixedPointResult", "fixed_point_solve"]
 
@@ -51,7 +51,7 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     :class:`~dispersim.errors.ZeroMass`.
     """
     grid = checked_grid(grid)
-    density = np.asarray(density, dtype=float)
+    (density,) = on_grid(grid, density)
     step = _Map(grid)
     cum = running_trapezoid(density, step.steps, np.empty(grid.shape))
     return step(cum, np.empty(grid.shape))
@@ -86,9 +86,7 @@ def _seed_density(grid: np.ndarray, init) -> np.ndarray:
     if init is None:
         span = float(grid[-1] - grid[0])
         return np.full(grid.shape, 1.0 / span)
-    density = np.asarray(init, dtype=float)
-    if density.shape != grid.shape:
-        raise ValueError("init density shape does not match grid")
+    (density,) = on_grid(grid, init)
     if not np.all(np.isfinite(density)) or np.any(density < 0.0):
         raise ValueError("init density must be finite and nonnegative")
     if not np.any(density > 0.0):
@@ -126,7 +124,8 @@ def fixed_point_solve(
     ------
     NonConvergence
         If ``max_iter`` iterations pass without the gap falling below
-        ``tol``; ``last_gap`` carries the final gap.
+        ``tol``; ``last_gap`` carries the final gap, and the message quotes
+        it beside ``tol``.
     """
     grid = checked_grid(grid)
     if grid.size < 3:
@@ -151,5 +150,5 @@ def fixed_point_solve(
             dist = GriddedDistribution(grid.copy(), density)
             return FixedPointResult(distribution=dist, n_iterations=iteration, gap=gap)
     raise NonConvergence(
-        f"no fixed point within {max_iter} iterations", last_gap=float(gap)
-    )
+        f"no fixed point within {max_iter} iterations: last gap {gap!r} is not below "
+        f"tol {tol!r}", last_gap=gap)

@@ -105,11 +105,32 @@ def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def checked_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; ``ValueError`` unless 1-D and strictly increasing."""
+    """``grid`` as a float array; ``ValueError`` unless it is a grid.
+
+    A grid is 1-D with at least 2 nodes, and each of its steps is positive
+    and finite. A step past the float range, as in ``[-1.7e308, 1.7e308]``,
+    or one to an infinite node is refused here rather than warned about.
+    Every gridded entry point of the package checks its grid with this one
+    rule, and the arrays laid on it with :func:`on_grid`.
+    """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points")
-    return grid
+    if grid.ndim == 1 and grid.size >= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(grid)
+        if np.all((0.0 < steps) & (steps < math.inf)):
+            return grid
+    raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points "
+                     "and finite steps")
+
+
+def on_grid(grid: np.ndarray, *arrays) -> list[np.ndarray]:
+    """``arrays`` as float arrays; ``ValueError`` unless each has ``grid``'s shape."""
+    arrays = [np.asarray(array, dtype=float) for array in arrays]
+    for array in arrays:
+        if array.shape != grid.shape:
+            raise ValueError(f"an array of shape {array.shape} must match the grid shape "
+                             f"{grid.shape}")
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +150,9 @@ class GriddedDistribution:
 
     def __post_init__(self):
         grid = checked_grid(self.grid)
-        density = np.asarray(self.density, dtype=float)
+        (density,) = on_grid(grid, self.density)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
-        if density.shape != grid.shape:
-            raise ValueError("density must match the grid shape")
         if not np.all(np.isfinite(density)):
             raise ValueError("density must be finite")
         if np.any(density < -NORMALIZATION_TOL):
@@ -154,9 +173,7 @@ class GriddedDistribution:
         integrates to zero.
         """
         grid = checked_grid(grid)
-        density = np.asarray(density, dtype=float)
-        if density.shape != grid.shape:
-            raise ValueError("density must match the grid shape")
+        (density,) = on_grid(grid, density)
         if not np.all(np.isfinite(density)):
             raise ModelError("density has non-finite values")
         density = np.clip(density, 0.0, None)

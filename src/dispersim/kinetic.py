@@ -20,11 +20,18 @@ check pays for a second, capped pass.
 The price shapes of the inflows are a closure choice, not a law of the
 model. The ``monotone`` closure feeds buy orders mostly toward the floor
 and sell offers increasingly with price, using the two-branch exponential
-weights of a reference law; the stationary stocks then mirror the inflows
-and per-bin matching reproduces the overlap-shaped sales law of the
-quasi-static regime. The ``matched`` closure feeds both sides with the
-same two-sided exponential profile so every bin receives balanced inflows
-and the stocks admit an exactly stationary state.
+weights of a reference law with CDF F, so the demand and supply inflow
+densities d and s go as 1 - F and F. Which sales law a run approaches
+depends on its horizon. Early on both stocks grow like their inflows, so
+sales go as d * s and per-bin matching gives the overlap-shaped law
+F (1 - F) of the quasi-static regime. Later the larger side piles up in
+each bin and the smaller one sells out on arrival, so sales approach
+min(d, s). From empty books on 401 bins over [0, 2] (rates 100, eta 1,
+reference Laplace(1, 0.2)), the KS distance of the sales law to F (1 - F)
+was 1.1e-5 at T = 0.5, and to min(d, s) 8.1e-4 at T = 50. The closure,
+not the matching, thus sets the long-horizon law. The ``matched`` closure
+feeds both sides with the same two-sided exponential profile so every bin
+receives balanced inflows and the stocks admit an exactly stationary state.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
-from .grids import GriddedDistribution, checked_grid, step_count, trapezoid
+from .grids import GriddedDistribution, checked_grid, on_grid, step_count, trapezoid
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
 __all__ = [
@@ -66,13 +73,10 @@ class MarketState:
 
     def __post_init__(self):
         grid = checked_grid(self.grid)
-        x_bins = np.asarray(self.x_bins, dtype=float)
-        z_bins = np.asarray(self.z_bins, dtype=float)
+        x_bins, z_bins = on_grid(grid, self.x_bins, self.z_bins)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "x_bins", x_bins)
         object.__setattr__(self, "z_bins", z_bins)
-        if x_bins.shape != grid.shape or z_bins.shape != grid.shape:
-            raise ValueError("stock arrays must match the grid shape")
         if not (np.all((0.0 <= x_bins) & (x_bins < math.inf))
                 and np.all((0.0 <= z_bins) & (z_bins < math.inf))):
             raise ValueError("stocks must be nonnegative and finite")
@@ -85,9 +89,7 @@ class MarketState:
         if self.cumulative_sales is None:
             object.__setattr__(self, "cumulative_sales", np.zeros_like(grid))
         else:
-            sales = np.asarray(self.cumulative_sales, dtype=float)
-            if sales.shape != grid.shape:
-                raise ValueError("cumulative_sales must match the grid shape")
+            (sales,) = on_grid(grid, self.cumulative_sales)
             if not np.all((0.0 <= sales) & (sales < math.inf)):
                 raise ValueError("cumulative_sales must be nonnegative and finite")
             object.__setattr__(self, "cumulative_sales", sales)
@@ -143,7 +145,7 @@ class InflowSpec:
         Raises :class:`~dispersim.errors.ZeroMass` if either shape
         underflows to zero on the whole grid.
         """
-        grid = np.asarray(grid, dtype=float)
+        grid = checked_grid(grid)
         ref = self.reference()
         if self.shape == "monotone":
             demand = 1.0 - laplace_cdf(grid, ref)

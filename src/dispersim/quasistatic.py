@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntercept, ZeroSalesVolume
-from .grids import GriddedDistribution, checked_grid, trapezoid
+from .grids import GriddedDistribution, checked_grid, on_grid, trapezoid
 
 __all__ = ["SupplyDemandCurves", "intercept_price", "quasi_static_density", "total_sales_rate"]
 
@@ -30,9 +30,7 @@ OVERLAP_FLOOR = 1e-12
 
 def _checked_cumulative(cum, grid: np.ndarray) -> np.ndarray:
     """``cum`` as a float array; ``ValueError`` unless a cumulative on ``grid``."""
-    cum = np.asarray(cum, dtype=float)
-    if cum.shape != grid.shape:
-        raise ValueError("cumulative must match the grid shape")
+    (cum,) = on_grid(grid, cum)
     if not np.all(np.isfinite(cum)):
         raise ValueError("cumulative must be finite")
     if np.any(np.diff(cum) < -1e-12) or np.any(cum < -1e-12) or np.any(cum > 1 + 1e-12):
@@ -98,13 +96,10 @@ class SupplyDemandCurves:
 
     def __post_init__(self):
         grid = checked_grid(self.grid)
-        x_units = np.asarray(self.x_units, dtype=float)
-        z_units = np.asarray(self.z_units, dtype=float)
+        x_units, z_units = on_grid(grid, self.x_units, self.z_units)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "x_units", x_units)
         object.__setattr__(self, "z_units", z_units)
-        if x_units.shape != grid.shape or z_units.shape != grid.shape:
-            raise ValueError("curves must match the grid shape")
         if not all(np.all((0.0 <= u) & (u < np.inf)) for u in (x_units, z_units)):
             raise ValueError("curve values must be nonnegative and finite")
         slack = 1e-9 * max(x_units[0], z_units[-1], 1.0)
@@ -132,9 +127,9 @@ class SupplyDemandCurves:
         its bin on, so the curves are the tail and head partial sums of the
         bins.
         """
-        x_bins = np.asarray(x_bins, dtype=float)
+        x_bins, z_bins = on_grid(checked_grid(grid), x_bins, z_bins)
         x_units = float(x_bins.sum()) - np.concatenate(([0.0], np.cumsum(x_bins)[:-1]))
-        return cls(grid=grid, x_units=x_units, z_units=np.cumsum(z_bins, dtype=float))
+        return cls(grid=grid, x_units=x_units, z_units=np.cumsum(z_bins))
 
 
 def intercept_price(curves: SupplyDemandCurves) -> float:

@@ -21,12 +21,10 @@ def unit_scaled(x: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
     Group ``i`` is ``x[bounds[i]:bounds[i + 1]]`` (the whole of ``x`` when
     ``bounds`` is None) and is divided by ``2 ** exponents[i]``, which puts
     its largest entry in ``[0.5, 1)``. The scaling is exact, and
-    ``np.ldexp`` of a result and the exponents scales it back. One group is
-    scaled by its one exponent, without a full-length exponent array.
+    ``np.ldexp`` of a result and the exponents scales it back.
     """
     if bounds is None:
-        exponents = np.frexp([x.max()])[1]
-        return np.ldexp(x, -exponents[0]), exponents
+        bounds = np.array([0, x.size])
     exponents = np.frexp(np.maximum.reduceat(x, bounds[:-1]))[1]
     return np.ldexp(x, np.repeat(-exponents, np.diff(bounds))), exponents
 

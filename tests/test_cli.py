@@ -23,6 +23,7 @@ from dispersim import __version__
 from dispersim.cli import _column, _parser, _table, atomic_write_text, main
 from dispersim.config import parse_config
 from dispersim.dataio import load_sample, normalize_prices, write_sample
+from dispersim.errors import NonConvergence
 from dispersim.estimate import fit_laplace, histogram
 from dispersim.fixedpoint import fixed_point_solve
 from dispersim.grids import uniform_grid
@@ -201,6 +202,17 @@ def test_kinetic_stability_refusal_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0.1" in err and "stability" in err
     assert not (out / "sales_histogram.csv").exists()
+
+
+def test_fixed_point_refusal_quotes_the_last_gap_and_tol(tmp_path, capsys):
+    cfg = FIXED_POINT_CFG.replace("fixedpoint.tol = 1e-2", "fixedpoint.max_iter = 3")
+    code, out = _run(tmp_path, "fixed-point", cfg)
+    assert code == 2
+    with pytest.raises(NonConvergence) as refused:
+        fixed_point_solve(uniform_grid(0.0, 2.0, 201), None, max_iter=3)
+    err = capsys.readouterr().err
+    assert f"last gap {refused.value.last_gap!r} is not below tol 0.001" in err
+    assert not out.exists()
 
 
 def test_kinetic_vanishing_inflow_shape_exits_2_without_artifacts(tmp_path, capsys):

@@ -14,6 +14,8 @@ is checked on the CLI's ``density.csv`` in test_cli.py.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -29,7 +31,11 @@ from dispersim.grids import (
     trapezoid,
     uniform_grid,
 )
-from dispersim.kinetic import InflowSpec, initial_state, run
+from dispersim.estimate import histogram
+from dispersim.fixedpoint import fixed_point_map, fixed_point_solve
+from dispersim.kinetic import InflowSpec, MarketState, initial_state, run, stationary_state
+from dispersim.quasistatic import SupplyDemandCurves, quasi_static_density
+from dispersim.samples import Sample
 
 
 def test_uniform_grid_endpoints_and_spacing():
@@ -135,6 +141,45 @@ def test_from_density_refuses_a_decreasing_grid_before_integrating():
     assert not isinstance(exc.value, ModelError)
     with pytest.raises(ValueError, match="strictly increasing"):
         GriddedDistribution.from_density(np.array([0.0, 0.5, 0.5]), np.ones(3))
+
+
+_MATCHED = InflowSpec(1.0, 1.0, 0.0, 1.0, shape="matched")
+
+# Each gridded entry point, called on a grid and arrays of n values laid on it.
+_GRIDDED = {
+    "GriddedDistribution": lambda g, n: GriddedDistribution(g, np.ones(n)),
+    "from_density": lambda g, n: GriddedDistribution.from_density(g, np.ones(n)),
+    "MarketState": lambda g, n: MarketState(g, np.ones(n), np.ones(n), eta=1.0),
+    "shape_densities": lambda g, n: _MATCHED.shape_densities(g),
+    "bin_weights": lambda g, n: _MATCHED.bin_weights(g),
+    "initial_state": lambda g, n: initial_state(g, 1.0, _MATCHED),
+    "stationary_state": lambda g, n: stationary_state(g, 1.0, _MATCHED),
+    "SupplyDemandCurves": lambda g, n: SupplyDemandCurves(g, np.ones(n), np.ones(n)),
+    "from_bin_stocks": lambda g, n: SupplyDemandCurves.from_bin_stocks(g, np.ones(n), np.ones(n)),
+    "quasi_static_density": lambda g, n: quasi_static_density(
+        np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), g),
+    "fixed_point_map": lambda g, n: fixed_point_map(g, np.ones(n)),
+    "fixed_point_solve": lambda g, n: fixed_point_solve(g, np.ones(n)),
+    "histogram": lambda g, n: histogram(Sample(np.zeros(1)), g),
+}
+_TAKES_ARRAYS = ("GriddedDistribution", "from_density", "MarketState", "SupplyDemandCurves",
+                 "from_bin_stocks", "quasi_static_density", "fixed_point_map",
+                 "fixed_point_solve")
+
+
+@pytest.mark.parametrize("name", sorted(_GRIDDED))
+def test_every_gridded_entry_point_refuses_a_bad_grid_or_shape_without_warning(name):
+    call = _GRIDDED[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # a step past the float range, and a step to an infinite node
+        for grid in (np.array([-1.7e308, 1.7e308]), np.array([0.0, 1.0, np.inf])):
+            with pytest.raises(ValueError, match="finite steps"):
+                call(grid, grid.size)
+        if name in _TAKES_ARRAYS:
+            with pytest.raises(ValueError, match="match the grid shape"):
+                call(np.linspace(0.0, 1.0, 5), 4)
+    assert caught == []
 
 
 def _stored_cumulative(grid, raw):

@@ -183,6 +183,9 @@ def test_curves_from_bin_stocks_match_partial_sums():
     curves = SupplyDemandCurves.from_bin_stocks(grid, x_bins, z_bins)
     np.testing.assert_allclose(curves.x_units, [10.0, 9.0, 7.0, 4.0])
     np.testing.assert_allclose(curves.z_units, [4.0, 7.0, 9.0, 10.0])
+    # bins of another shape are refused, not flattened onto the grid
+    with pytest.raises(ValueError, match="match the grid shape"):
+        SupplyDemandCurves.from_bin_stocks(grid, x_bins.reshape(2, 2), z_bins.reshape(2, 2))
 
 
 def test_intercept_of_symmetric_linear_curves_is_central():
