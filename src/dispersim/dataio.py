@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, MalformedRow, ModelError
+from .grids import checked_value
 from .samples import Sample, unit_scaled
 
 __all__ = [
@@ -87,8 +88,8 @@ class TransactionTable:
         good = np.asarray(self.good_id, dtype=object)
         market = np.asarray(self.market_id, dtype=object)
         quarter = np.asarray(self.quarter, dtype=object)
-        price = np.asarray(self.price, dtype=float)
-        quantity = np.asarray(self.quantity, dtype=float)
+        price = checked_value("price", self.price, 0.0, strict=True)
+        quantity = checked_value("quantity", self.quantity, 0.0, strict=True)
         n = good.size
         for name, col in (("market_id", market), ("quarter", quarter),
                           ("price", price), ("quantity", quantity)):
@@ -97,10 +98,6 @@ class TransactionTable:
         for col in (good, market, quarter):
             if not all(issubclass(kind, str) for kind in set(map(type, col))) or np.any(col == ""):
                 raise ValueError("ids must be nonempty strings")
-        if not np.all(np.isfinite(price)) or np.any(price <= 0.0):
-            raise ValueError("prices must be finite and positive")
-        if not np.all(np.isfinite(quantity)) or np.any(quantity <= 0.0):
-            raise ValueError("quantities must be finite and positive")
         object.__setattr__(self, "good_id", good)
         object.__setattr__(self, "market_id", market)
         object.__setattr__(self, "quarter", quarter)
@@ -144,8 +141,7 @@ class NormalizedGroups:
                 or np.any(bounds[1:] <= bounds[:-1])):
             raise ValueError("bounds must be integers rising strictly from 0 to the row count")
         for name, column in (("mu0", mu0), ("values", values), ("weights", weights)):
-            if not np.all((0.0 < column) & (column < math.inf)):
-                raise ValueError(f"{name} must be positive and finite")
+            checked_value(name, column, 0.0, strict=True)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "bounds", bounds)

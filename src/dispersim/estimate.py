@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSample, EmptyFeasibleShift
-from .grids import GriddedDistribution, checked_grid
+from .grids import GriddedDistribution, checked_grid, checked_value
 from .laws import (
     LaplaceParams,
     LognormalParams,
@@ -65,9 +65,8 @@ class FitResult:
 
     def __post_init__(self):
         if not 0.0 <= self.ks_distance <= 1.0:
-            raise ValueError("KS distance must lie in [0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+            raise ValueError(f"ks_distance must lie in [0, 1], got {self.ks_distance!r}")
+        checked_value("n", self.n, 1, count=True)
 
     def to_record(self) -> dict[str, str]:
         """Flat key-value form for serialization."""
@@ -92,9 +91,10 @@ def fit_laplace(sample: Sample) -> FitResult:
     ------
     DegenerateSample
         If fewer than two observations are given, the deviations all
-        vanish, so no positive scale exists, their weighted mean overflows,
-        or the weighted median lies below the price floor of zero that the
-        fitted law carries.
+        vanish, so no positive scale exists, their weighted mean overflows
+        or falls below the smallest normal float (which ``LaplaceParams``
+        requires of a scale), or the weighted median lies below the price
+        floor of zero that the fitted law carries.
     """
     if sample.size < 2:
         raise DegenerateSample("need at least two observations for a scale")
@@ -115,6 +115,9 @@ def fit_laplace(sample: Sample) -> FitResult:
         raise DegenerateSample(f"the mean absolute deviation about {mu!r} overflows")
     if sigma <= 0.0:
         raise DegenerateSample("all observations coincide; scale is zero")
+    if sigma < np.finfo(float).tiny:
+        raise DegenerateSample(f"the mean absolute deviation {sigma!r} is below the "
+                               "smallest normal float")
     params = LaplaceParams(mu=mu, sigma=sigma, mu_m=0.0)
     loglik = _scaled_back(-total * (np.log(2.0 * sigma) + 1.0), exponent)
     ks = _ks_of_sorted(values, cum, total, lambda x: laplace_cdf(x, params))

@@ -19,13 +19,14 @@ iterate has the bits of ``np.where``, ``np.trapezoid`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence, ZeroMass
-from .grids import GriddedDistribution, checked_grid, on_grid, running_trapezoid, trapezoid_areas
+from .grids import (
+    GriddedDistribution, checked_grid, checked_value, on_grid, running_trapezoid, trapezoid_areas,
+)
 
 __all__ = ["FixedPointResult", "fixed_point_solve"]
 
@@ -86,9 +87,7 @@ def _seed_density(grid: np.ndarray, init) -> np.ndarray:
     if init is None:
         span = float(grid[-1] - grid[0])
         return np.full(grid.shape, 1.0 / span)
-    (density,) = on_grid(grid, init)
-    if not np.all(np.isfinite(density)) or np.any(density < 0.0):
-        raise ValueError("init density must be finite and nonnegative")
+    density = checked_value("init", *on_grid(grid, init), 0.0)
     if not np.any(density > 0.0):
         raise ValueError("init density is identically zero")
     return density
@@ -130,10 +129,8 @@ def fixed_point_solve(
     grid = checked_grid(grid)
     if grid.size < 3:
         raise ValueError("grid must have at least 3 points")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    checked_value("tol", tol, 0.0, strict=True)
+    max_iter = checked_value("max_iter", max_iter, 0, count=True)
 
     step = _Map(grid)
     cum = running_trapezoid(_seed_density(grid, init), step.steps, np.empty(grid.shape))

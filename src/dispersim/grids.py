@@ -5,11 +5,17 @@ dispersions) are represented on a uniform price grid and integrated with the
 trapezoidal rule, in numpy alone. A :class:`GriddedDistribution` holds the
 grid and the density values, checks the normalization invariants on
 construction, and derives its cumulative from the density on first use.
+
+The module also holds the package's input rules, each stated once: the
+value rule :func:`checked_value` for every parameter and input array, the
+grid rule :func:`checked_grid`, the on-grid rule :func:`on_grid`, and the
+step-count rule :func:`step_count`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +32,43 @@ NORMALIZATION_TOL = 1e-9
 STEP_BUDGET = 1 << 30
 
 
+def checked_value(name: str, value, low: float = -math.inf, *, strict: bool = False,
+                  count: bool = False, low_name: str | None = None):
+    """The value rule: ``value`` if it is finite and at least ``low``, or above it if ``strict``.
+
+    ``value`` is a scalar or an array and comes back as a float array. A
+    ``count`` must also be an integer (``operator.index``) and comes back as
+    an ``int``. Anything else is refused with a ``ValueError`` that names
+    ``name`` and the rule and quotes the value, or an array's smallest or
+    largest value, whichever breaks it; ``low_name`` stands for ``low`` in
+    the message where given. NaN and infinities are refused whatever the
+    bound. An array costs one ``isfinite`` pass where only finiteness is
+    asked, and a ``min`` and a ``max`` pass otherwise.
+    """
+    if count:
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+        if number is None or number < low:
+            raise ValueError(f"{name} must be an integer at least {low}, got {value!r}")
+        return number
+    array = np.asarray(value, dtype=float)
+    if low == -math.inf and np.isfinite(array).all():
+        return array
+    lo, hi = array.min(initial=math.inf), array.max(initial=-math.inf)
+    above_low = -math.inf < lo and (lo > low if strict else lo >= low)
+    if above_low and hi < math.inf:
+        return array
+    if low == -math.inf:
+        rule = "finite"
+    elif low == 0.0 and low_name is None:
+        rule = f"{'positive' if strict else 'nonnegative'} and finite"
+    else:
+        rule = f"finite and {'above' if strict else 'at least'} {low_name or repr(float(low))}"
+    raise ValueError(f"{name} must be {rule}, got {float(hi if above_low else lo)!r}")
+
+
 def step_count(dt: float, horizon: float, step_bytes: int = 0) -> int:
     """Whole steps of ``dt`` in ``horizon``: ``round(horizon / dt)``, at least 1.
 
@@ -34,12 +77,10 @@ def step_count(dt: float, horizon: float, step_bytes: int = 0) -> int:
     step asks for the count before it allocates, and the count is refused
     when those bytes would pass :data:`STEP_BUDGET`, or when the quotient
     overflows the float range. Each refusal is a ``ValueError`` that names
-    ``dt``.
+    ``dt`` or ``horizon``.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not dt <= horizon < math.inf:
-        raise ValueError("horizon must be finite and at least dt")
+    checked_value("dt", dt, 0.0, strict=True)
+    checked_value("horizon", horizon, dt, low_name="dt")
     steps = float(horizon) / float(dt)
     if steps == math.inf:
         raise ValueError(f"dt = {dt!r} is too small: horizon / dt overflows")
@@ -55,9 +96,7 @@ def uniform_grid(p_min: float, p_max: float, n_points: int) -> np.ndarray:
         raise ValueError(f"need p_max > p_min, got [{p_min}, {p_max}]")
     if not float(p_max) - float(p_min) < math.inf:
         raise ValueError(f"grid range [{p_min}, {p_max}] must have finite ends and span")
-    if n_points < 2:
-        raise ValueError("grid needs at least 2 points")
-    return np.linspace(p_min, p_max, n_points)
+    return np.linspace(p_min, p_max, checked_value("n_points", n_points, 2, count=True))
 
 
 def trapezoid(values: np.ndarray, grid: np.ndarray) -> float:
@@ -107,20 +146,20 @@ def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def checked_grid(grid) -> np.ndarray:
     """``grid`` as a float array; ``ValueError`` unless it is a grid.
 
-    A grid is 1-D with at least 2 nodes, and each of its steps is positive
-    and finite. A step past the float range, as in ``[-1.7e308, 1.7e308]``,
-    or one to an infinite node is refused here rather than warned about.
-    Every gridded entry point of the package checks its grid with this one
-    rule, and the arrays laid on it with :func:`on_grid`.
+    A grid is 1-D with at least 2 nodes that strictly increase, and its
+    span ``grid[-1] - grid[0]`` is finite, so every node and step is too.
+    The nodes are compared, not subtracted, and the span is taken in Python
+    floats, so a grid such as ``[-1.7e308, 0, 1.7e308]`` is refused here
+    rather than warned about. Every gridded entry point of the package
+    checks its grid with this one rule, and the arrays laid on it with
+    :func:`on_grid`.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1 and grid.size >= 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = np.diff(grid)
-        if np.all((0.0 < steps) & (steps < math.inf)):
-            return grid
-    raise ValueError("grid must be 1-D, strictly increasing, with at least 2 points "
-                     "and finite steps")
+    if (grid.ndim == 1 and grid.size >= 2 and np.all(grid[1:] > grid[:-1])
+            and float(grid[-1]) - float(grid[0]) < math.inf):
+        return grid
+    raise ValueError("grid must be 1-D and strictly increasing, with at least 2 points "
+                     "and finite steps and span")
 
 
 def on_grid(grid: np.ndarray, *arrays) -> list[np.ndarray]:
@@ -152,9 +191,7 @@ class GriddedDistribution:
         grid = checked_grid(self.grid)
         (density,) = on_grid(grid, self.density)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
-        if not np.all(np.isfinite(density)):
-            raise ValueError("density must be finite")
+        object.__setattr__(self, "density", checked_value("density", density))
         if np.any(density < -NORMALIZATION_TOL):
             raise ValueError("density has negative values")
         total = trapezoid(density, grid)
@@ -200,7 +237,7 @@ class GriddedDistribution:
     def quantile(self, q: float) -> float:
         """Price at cumulative level ``q`` by linear interpolation."""
         if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile level must be in [0, 1]")
+            raise ValueError(f"quantile level q must be in [0, 1], got {q!r}")
         x = float(np.interp(q, self.cumulative, self.grid))
         if x == np.inf:
             # interp's slope overflows on a segment holding subnormal mass;

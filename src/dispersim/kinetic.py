@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
-from .grids import GriddedDistribution, checked_grid, on_grid, step_count, trapezoid
+from .grids import (
+    GriddedDistribution, checked_grid, checked_value, on_grid, step_count, trapezoid,
+)
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
 __all__ = [
@@ -73,26 +75,15 @@ class MarketState:
 
     def __post_init__(self):
         grid = checked_grid(self.grid)
-        x_bins, z_bins = on_grid(grid, self.x_bins, self.z_bins)
+        sales = np.zeros_like(grid) if self.cumulative_sales is None else self.cumulative_sales
+        x_bins, z_bins, sales = on_grid(grid, self.x_bins, self.z_bins, sales)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "x_bins", x_bins)
-        object.__setattr__(self, "z_bins", z_bins)
-        if not (np.all((0.0 <= x_bins) & (x_bins < math.inf))
-                and np.all((0.0 <= z_bins) & (z_bins < math.inf))):
-            raise ValueError("stocks must be nonnegative and finite")
-        if not 0.0 <= self.eta < math.inf:
-            raise ValueError("eta must be nonnegative and finite")
-        if not math.isfinite(self.clock):
-            raise ValueError("clock must be finite")
-        if self.cap_hits < 0:
-            raise ValueError("cap_hits must be nonnegative")
-        if self.cumulative_sales is None:
-            object.__setattr__(self, "cumulative_sales", np.zeros_like(grid))
-        else:
-            (sales,) = on_grid(grid, self.cumulative_sales)
-            if not np.all((0.0 <= sales) & (sales < math.inf)):
-                raise ValueError("cumulative_sales must be nonnegative and finite")
-            object.__setattr__(self, "cumulative_sales", sales)
+        object.__setattr__(self, "x_bins", checked_value("stocks (x_bins)", x_bins, 0.0))
+        object.__setattr__(self, "z_bins", checked_value("stocks (z_bins)", z_bins, 0.0))
+        object.__setattr__(self, "cumulative_sales", checked_value("cumulative_sales", sales, 0.0))
+        checked_value("eta", self.eta, 0.0)
+        checked_value("clock", self.clock)
+        checked_value("cap_hits", self.cap_hits, 0, count=True)
 
     @property
     def x_total(self) -> float:
@@ -125,16 +116,13 @@ class InflowSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.demand_rate < math.inf and 0.0 <= self.supply_rate < math.inf):
-            raise ValueError("inflow rates must be nonnegative and finite")
-        if not math.isfinite(self.mu_ref):
-            raise ValueError("mu_ref must be finite")
-        if not 0.0 < self.sigma_ref < math.inf:
-            raise ValueError("sigma_ref must be positive and finite")
+        checked_value("inflow rates (demand_rate, supply_rate)",
+                      [self.demand_rate, self.supply_rate], 0.0)
+        checked_value("mu_ref", self.mu_ref)
+        checked_value("sigma_ref", self.sigma_ref, 0.0, strict=True)
         if self.shape not in INFLOW_SHAPES:
             raise ValueError(f"shape must be one of {INFLOW_SHAPES}, got {self.shape!r}")
-        if not 0.0 <= self.jitter < math.inf:
-            raise ValueError("jitter must be nonnegative and finite")
+        checked_value("jitter", self.jitter, 0.0)
 
     def reference(self) -> LaplaceParams:
         return LaplaceParams(mu=self.mu_ref, sigma=self.sigma_ref)
@@ -174,7 +162,11 @@ class SimResult:
     """Sales law, per-step totals series, and the final market state.
 
     ``times``, ``x_series``, ``z_series`` and ``sales_rate_series`` are
-    aligned per step. ``event_count`` is the total of transacted units.
+    aligned per step. ``event_count`` is the total of units this run
+    transacted. ``cap_hits``, ``sales_histogram`` and ``final_state`` also
+    hold what the initial state carried: its cap hits and its cumulative
+    sales, so a caller that wants this run's cap hits subtracts
+    ``initial.cap_hits``.
     ``worst_depletion`` is the largest ``eta * dt * stock`` over the bins
     and over the stocks that entered each step, the fraction that the
     stability bound limits only at the start.
@@ -395,6 +387,8 @@ def initial_state(
     z_total: float = 0.0,
 ) -> MarketState:
     """Market state with initial stocks spread like the inflow shapes."""
+    checked_value("x_total", x_total, 0.0)
+    checked_value("z_total", z_total, 0.0)
     d_weights, s_weights = inflow.bin_weights(grid)
     return MarketState(grid=grid, x_bins=x_total * d_weights, z_bins=z_total * s_weights, eta=eta)
 
@@ -411,8 +405,7 @@ def stationary_state(grid, eta: float, inflow: InflowSpec) -> MarketState:
         raise ValueError("stationary stocks are only defined for the matched closure")
     if inflow.demand_rate != inflow.supply_rate:
         raise ValueError("stationary stocks need equal demand and supply rates")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    checked_value("eta", eta, 0.0, strict=True)
     d_weights, _ = inflow.bin_weights(grid)
     stock = np.sqrt(inflow.demand_rate * d_weights / eta)
     return MarketState(grid=grid, x_bins=stock, z_bins=stock.copy(), eta=eta)

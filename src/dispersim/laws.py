@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
+from .grids import checked_value
 
 __all__ = [
     "LaplaceParams", "LognormalParams", "laplace_cdf", "laplace_density", "laplace_eval",
@@ -54,27 +55,27 @@ class LaplaceParams:
     mu_m: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (np.isfinite(self.mu_m) and self.mu_m >= 0):
-            raise ValueError(f"mu_m must be nonnegative, got {self.mu_m}")
-        if not (np.isfinite(self.mu) and self.mu >= self.mu_m):
-            raise ValueError(
-                f"mu must be finite and at least the floor, got mu={self.mu}, "
-                f"mu_m={self.mu_m}"
-            )
+        # at least the smallest normal float, so that 1 / (2 sigma) is finite
+        checked_value("sigma", self.sigma, _TINY)
+        checked_value("mu_m", self.mu_m, 0.0)
+        checked_value("mu", self.mu, self.mu_m, low_name="mu_m")
+
+
+def _standardized(prices, params: LaplaceParams) -> np.ndarray:
+    """``(p - mu) / sigma``; a quotient past the float range is infinite, its limit."""
+    p = np.asarray(prices, dtype=float)
+    with np.errstate(over="ignore"):
+        return (p - params.mu) / params.sigma
 
 
 def laplace_density(prices, params: LaplaceParams) -> np.ndarray:
     """Density ``exp(-|p - mu| / sigma) / (2 sigma)``, untruncated."""
-    p = np.asarray(prices, dtype=float)
-    return np.exp(-np.abs(p - params.mu) / params.sigma) / (2.0 * params.sigma)
+    return np.exp(-np.abs(_standardized(prices, params))) / (2.0 * params.sigma)
 
 
 def laplace_cdf(prices, params: LaplaceParams) -> np.ndarray:
     """Two-branch cumulative; the branches agree at ``mu`` where it is 1/2."""
-    p = np.asarray(prices, dtype=float)
-    z = (p - params.mu) / params.sigma
+    z = _standardized(prices, params)
     lower = 0.5 * np.exp(np.minimum(z, 0.0))
     upper = 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0))
     return np.where(z <= 0.0, lower, upper)
@@ -121,12 +122,9 @@ class LognormalParams:
     shift: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not (np.isfinite(self.shift) and self.shift >= 0):
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
+        checked_value("gamma", self.gamma, 0.0, strict=True)
+        checked_value("omega", self.omega, 0.0, strict=True)
+        checked_value("shift", self.shift, 0.0)
 
 
 def _on_support(values, shift: float, law) -> np.ndarray:
@@ -291,14 +289,11 @@ def mixture_density(
         If the results still disagree when doubling again would exceed
         ``n_nodes``; the achieved agreement is attached.
     """
-    if not conditional_scale > 0.0:
-        raise ValueError("conditional_scale must be positive")
-    if not floor >= 0.0:
-        raise ValueError("floor must be nonnegative")
-    if n_nodes < 9:
-        raise ValueError("n_nodes too small for a refinement check")
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    checked_value("conditional_scale", conditional_scale, 0.0, strict=True)
+    checked_value("floor", floor, 0.0)
+    # at least 9, so that the first rule has 4 nodes and a refinement to check
+    n_nodes = checked_value("n_nodes", n_nodes, 9, count=True)
+    checked_value("rel_tol", rel_tol, 0.0, strict=True)
     p = np.atleast_1d(np.asarray(prices, dtype=float))
 
     gamma, omega, shift = mean_price_law.gamma, mean_price_law.omega, mean_price_law.shift

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample
-from .grids import step_count
+from .grids import checked_value, step_count
 from .laws import LognormalParams
 
 __all__ = [
@@ -58,13 +58,10 @@ class SdeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.omega0 < math.inf:
-            raise ValueError("omega0 must be positive and finite")
-        if not 0.0 <= self.noise_amp < math.inf:
-            raise ValueError("noise_amp must be nonnegative and finite")
+        checked_value("omega0", self.omega0, 0.0, strict=True)
+        checked_value("noise_amp", self.noise_amp, 0.0)
         step_count(self.dt, self.horizon)
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        checked_value("n_paths", self.n_paths, 1, count=True)
 
     @property
     def n_steps(self) -> int:
@@ -193,8 +190,9 @@ def walras_rhs(
     so the floor is absorbing: at ``mu = mu_m`` the drift vanishes no
     matter the imbalance.
     """
-    if mu < mu_m:
-        raise ValueError(f"mu {mu} must not be below the floor {mu_m}")
-    if gain < 0.0:
-        raise ValueError("gain must be nonnegative")
+    checked_value("mu_m", mu_m)
+    checked_value("mu", mu, mu_m, low_name="mu_m")
+    for name, value in (("gain", gain), ("demand_rate", demand_rate),
+                        ("supply_rate", supply_rate)):
+        checked_value(name, value, 0.0)
     return (mu - mu_m) * gain * (demand_rate - supply_rate)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntercept, ZeroSalesVolume
-from .grids import GriddedDistribution, checked_grid, on_grid, trapezoid
+from .grids import GriddedDistribution, checked_grid, checked_value, on_grid, trapezoid
 
 __all__ = ["SupplyDemandCurves", "intercept_price", "quasi_static_density", "total_sales_rate"]
 
@@ -28,11 +28,9 @@ __all__ = ["SupplyDemandCurves", "intercept_price", "quasi_static_density", "tot
 OVERLAP_FLOOR = 1e-12
 
 
-def _checked_cumulative(cum, grid: np.ndarray) -> np.ndarray:
-    """``cum`` as a float array; ``ValueError`` unless a cumulative on ``grid``."""
-    (cum,) = on_grid(grid, cum)
-    if not np.all(np.isfinite(cum)):
-        raise ValueError("cumulative must be finite")
+def _checked_cumulative(name: str, cum, grid: np.ndarray) -> np.ndarray:
+    """``cum`` as a float array; ``ValueError`` naming ``name`` unless a cumulative on ``grid``."""
+    cum = checked_value(name, *on_grid(grid, cum))
     if np.any(np.diff(cum) < -1e-12) or np.any(cum < -1e-12) or np.any(cum > 1 + 1e-12):
         raise ValueError("cumulative must be nondecreasing within [0, 1]")
     return cum
@@ -58,8 +56,8 @@ def quasi_static_density(
         both willing buyers and willing sellers.
     """
     grid = checked_grid(grid)
-    cum_z = _checked_cumulative(supply_cumulative, grid)
-    cum_x = _checked_cumulative(demand_cumulative, grid)
+    cum_z = _checked_cumulative("supply_cumulative", supply_cumulative, grid)
+    cum_x = _checked_cumulative("demand_cumulative", demand_cumulative, grid)
     overlap = cum_z * (1.0 - cum_x)
     sigma_norm = trapezoid(overlap, grid)
     if sigma_norm < OVERLAP_FLOOR:
@@ -75,8 +73,7 @@ def total_sales_rate(eta: float, x_total: float, z_total: float, sigma_norm: flo
     """Aggregate transaction rate ``eta * x_total * z_total * sigma_norm``."""
     for name, value in (("eta", eta), ("x_total", x_total),
                         ("z_total", z_total), ("sigma_norm", sigma_norm)):
-        if value < 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        checked_value(name, value, 0.0)
     return eta * x_total * z_total * sigma_norm
 
 
@@ -98,10 +95,8 @@ class SupplyDemandCurves:
         grid = checked_grid(self.grid)
         x_units, z_units = on_grid(grid, self.x_units, self.z_units)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "x_units", x_units)
-        object.__setattr__(self, "z_units", z_units)
-        if not all(np.all((0.0 <= u) & (u < np.inf)) for u in (x_units, z_units)):
-            raise ValueError("curve values must be nonnegative and finite")
+        object.__setattr__(self, "x_units", checked_value("x_units", x_units, 0.0))
+        object.__setattr__(self, "z_units", checked_value("z_units", z_units, 0.0))
         slack = 1e-9 * max(x_units[0], z_units[-1], 1.0)
         if np.any(np.diff(x_units) > slack):
             raise ValueError("x_units must be nonincreasing in price")
@@ -114,6 +109,8 @@ class SupplyDemandCurves:
         x_total: float = 1.0, z_total: float = 1.0,
     ) -> "SupplyDemandCurves":
         """Curves ``x_total * (1 - F_x)`` and ``z_total * F_z`` on one grid."""
+        checked_value("x_total", x_total, 0.0)
+        checked_value("z_total", z_total, 0.0)
         f_x = np.asarray(demand_cumulative, dtype=float)
         f_z = np.asarray(supply_cumulative, dtype=float)
         return cls(grid=grid, x_units=x_total * (1.0 - f_x), z_units=z_total * f_z)

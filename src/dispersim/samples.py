@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import checked_value
+
 __all__ = ["Sample"]
 
 
@@ -43,19 +45,15 @@ class Sample:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = checked_value("values", self.values)
         if values.ndim != 1:
             raise ValueError("values must be a 1-D array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
         if self.weights is None:
             weights = np.ones_like(values)
         else:
-            weights = np.asarray(self.weights, dtype=float)
+            weights = checked_value("weights", self.weights, 0.0, strict=True)
             if weights.shape != values.shape:
                 raise ValueError("weights must match values in shape")
-            if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-                raise ValueError("weights must be finite and positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 

@@ -19,10 +19,11 @@ from dispersim.dataio import write_sample
 from dispersim.estimate import fit_laplace, fit_shifted_lognormal, ks_statistic
 from dispersim.fixedpoint import fixed_point_solve
 from dispersim.grids import GriddedDistribution, uniform_grid
-from dispersim.kinetic import InflowSpec, run, stationary_state
+from dispersim.kinetic import STABILITY_BOUND, InflowSpec, initial_state, run, stationary_state
 from dispersim.laws import (
     LaplaceParams,
     LognormalParams,
+    laplace_cdf,
     laplace_density,
     lognormal_density,
     mixture_density,
@@ -86,17 +87,63 @@ def test_criterion_3_fixed_point_consistency_and_convergence():
 
 
 def test_criterion_4_kinetic_run_reproduces_the_sales_law():
-    """1e6 transacted units whose binned law fits within KS 0.05, < 60 s."""
+    """1e6 transacted units whose binned law fits within KS 0.05, < 60 s.
+
+    From its stationary state the ``matched`` closure sells ``eta * x_i * z_i
+    = r_i`` in every bin, so its sales law is the inflow shape itself: the
+    sales shares equal the inflow weights to 1e-12 of the largest weight
+    (3.9e-13 measured). This is an identity of the stationary state; the
+    dynamics are tested by the ``monotone`` crossover below.
+    """
     start = time.perf_counter()
     grid = uniform_grid(0.0, 2.0, 401)
     inflow = InflowSpec(5000.0, 5000.0, mu_ref=1.0, sigma_ref=0.2, shape="matched")
     state = stationary_state(grid, 1.0, inflow)
     result = run(state, inflow, dt=0.01, horizon=200.0)
     assert result.event_count >= 999_999.0
-    fit = fit_laplace(Sample(grid, result.final_state.cumulative_sales))
+    sales = result.final_state.cumulative_sales
+    fit = fit_laplace(Sample(grid, sales))
     assert fit.ks_distance < 0.05
     assert abs(fit.params.mu - 1.0) < 0.02
+    weights, _ = inflow.bin_weights(grid)
+    assert np.max(np.abs(sales / sales.sum() - weights)) <= 1e-12 * np.max(weights)
     assert time.perf_counter() - start < 60.0
+
+
+def _sales_ks(sales: np.ndarray, reference: np.ndarray) -> float:
+    """KS distance between the cumulated per-bin sales and reference weights."""
+    return float(np.max(np.abs(np.cumsum(sales) / sales.sum()
+                               - np.cumsum(reference) / reference.sum())))
+
+
+def test_criterion_4_monotone_closure_crosses_from_the_overlap_law_to_min_of_inflows():
+    """Sales go as F (1 - F) early and as min(d, s) late, at dt and dt / 2; < 5 s.
+
+    From empty books on 401 bins over [0, 2] (rates 100, eta 1, reference
+    Laplace(1, 0.2) with CDF F), both stocks first grow like their inflows
+    d and s, so per-bin matching sells as d * s, the quasi-static overlap
+    law F (1 - F). Later the larger side piles up in each bin and the
+    smaller sells out on arrival, so sales approach min(d, s). Measured KS
+    of the cumulated sales: 1.06e-5 and 1.12e-5 to F (1 - F) at T = 0.5 and
+    dt 0.01 and 0.005 (bound 1e-4, a margin of 9x), and 8.1e-4 to min(d, s)
+    at T = 50 and dt 0.002 and 0.001 (bound 2e-3, a margin of 2.5x). The
+    worst depletion was 0.0495 and 0.0248 at T = 50, against the stability
+    bound 0.1 (margins of 2x and 4x), with no cap hits. All four runs took
+    0.3 s together.
+    """
+    start = time.perf_counter()
+    grid = uniform_grid(0.0, 2.0, 401)
+    inflow = InflowSpec(100.0, 100.0, mu_ref=1.0, sigma_ref=0.2, shape="monotone")
+    cdf = laplace_cdf(grid, inflow.reference())
+    demand, supply = inflow.bin_weights(grid)
+    for horizon, dts, reference, bound in [(0.5, (0.01, 0.005), cdf * (1.0 - cdf), 1e-4),
+                                           (50.0, (0.002, 0.001), np.minimum(demand, supply),
+                                            2e-3)]:
+        for dt in dts:
+            result = run(initial_state(grid, 1.0, inflow), inflow, dt=dt, horizon=horizon)
+            assert _sales_ks(result.final_state.cumulative_sales, reference) < bound
+            assert result.worst_depletion < STABILITY_BOUND
+    assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_5_mean_price_ensemble_terminal_law():

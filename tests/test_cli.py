@@ -215,6 +215,23 @@ def test_fixed_point_refusal_quotes_the_last_gap_and_tol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fixed_point_laplace_seed_of_a_subnormal_scale_exits_1_naming_sigma(tmp_path):
+    cfg = FIXED_POINT_CFG + ("fixedpoint.init = laplace\nfixedpoint.init_mu = 1\n"
+                             "fixedpoint.init_sigma = 1e-310\n")
+    # A child interpreter with the default warning filters, which would print
+    # an overflow in 1 / (2 sigma) ahead of the error line.
+    config, out = _write(tmp_path, "fixed-point.cfg", cfg), tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "dispersim", "fixed-point",
+         str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == ("dispersim: error: sigma must be finite and at least "
+                           "2.2250738585072014e-308, got 1e-310\n")
+    assert not out.exists()
+
+
 def test_kinetic_vanishing_inflow_shape_exits_2_without_artifacts(tmp_path, capsys):
     code, out = _run(tmp_path, "simulate-kinetic", VANISHING_INFLOW_CFG)
     assert code == 2

@@ -101,6 +101,12 @@ def test_fit_laplace_degenerate_inputs():
         fit_laplace(Sample(np.array([-1e308, 1e308, 1e308])))
 
 
+def test_fit_laplace_refuses_a_scale_below_the_smallest_normal_float():
+    # LaplaceParams would refuse such a scale with a ValueError; the fit names it
+    with pytest.raises(DegenerateSample, match=r"deviation 5e-311 is below the smallest normal"):
+        fit_laplace(Sample(np.array([0.0, 1e-310])))
+
+
 def test_fit_laplace_refuses_a_median_below_the_floor():
     with pytest.raises(DegenerateSample, match=r"median -0\.5 lies below the price floor 0\.0"):
         fit_laplace(Sample(np.array([-1.0, -0.5, -0.2, 0.1])))

@@ -128,9 +128,11 @@ def test_from_density_rescales_a_total_that_overflows():
     dist = GriddedDistribution.from_density(grid, np.full(5, 1e308))
     np.testing.assert_array_equal(dist.density, np.ones(5))
     np.testing.assert_array_equal(dist.cumulative, grid)
-    # a grid so wide that even the rescaled total overflows is still refused
-    with pytest.raises(ModelError, match="total inf is not finite"):
+    # a grid so wide that even the rescaled total would overflow has a span
+    # past the float range, which the grid rule refuses, as uniform_grid does
+    with pytest.raises(ValueError, match="finite steps and span") as exc:
         GriddedDistribution.from_density(np.array([-1.5e308, 0.0, 1.5e308]), np.ones(3))
+    assert not isinstance(exc.value, ModelError)
 
 
 def test_from_density_refuses_a_decreasing_grid_before_integrating():
@@ -172,8 +174,10 @@ def test_every_gridded_entry_point_refuses_a_bad_grid_or_shape_without_warning(n
     call = _GRIDDED[name]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # a step past the float range, and a step to an infinite node
-        for grid in (np.array([-1.7e308, 1.7e308]), np.array([0.0, 1.0, np.inf])):
+        # a step past the float range, a span past it from finite steps, and
+        # a step to an infinite node
+        for grid in (np.array([-1.7e308, 1.7e308]), np.array([-1.7e308, 0.0, 1.7e308]),
+                     np.array([0.0, 1.0, np.inf])):
             with pytest.raises(ValueError, match="finite steps"):
                 call(grid, grid.size)
         if name in _TAKES_ARRAYS:

@@ -43,6 +43,23 @@ def test_laplace_params_validation():
         LaplaceParams(mu=0.5, sigma=0.2, mu_m=0.6)
 
 
+def test_laplace_laws_at_the_smallest_scale_are_right_or_refused():
+    # below the smallest normal float, 1 / (2 sigma) overflows
+    with pytest.raises(ValueError, match="^sigma must be finite and at least "):
+        LaplaceParams(mu=1.0, sigma=1e-310)
+    # at it, |p - mu| / sigma passes the float range a little off the mode;
+    # the laws take the limits there, without a warning
+    params = LaplaceParams(mu=1.0, sigma=np.finfo(float).tiny)
+    prices = np.array([-1e10, 0.0, 1.0, 3.0, 1e10])
+    density = np.array([0.0, 0.0, 0.5 / np.finfo(float).tiny, 0.0, 0.0])
+    cumulative = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(laplace_density(prices, params), density)
+    np.testing.assert_array_equal(laplace_cdf(prices, params), cumulative)
+    truncated = laplace_eval(prices, params, truncated=True)
+    np.testing.assert_array_equal(truncated[0], density)
+    np.testing.assert_array_equal(truncated[1], cumulative)
+
+
 def test_laplace_density_peak_and_symmetry():
     params = LaplaceParams(mu=1.0, sigma=0.25)
     assert laplace_density(1.0, params) == pytest.approx(2.0)
