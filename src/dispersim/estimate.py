@@ -12,7 +12,8 @@ is numpy: the shifted lognormal shift is found by nested grid scans.
 Full-length temporaries are few. The Laplace fit takes its deviations in
 one buffer with ``out=`` ufuncs. The KS distance turns the fit's cumulative
 weights into fractions in place, and evaluates the model cumulative and the
-largest gap in blocks of ``_KS_BLOCK`` values. Element-wise ufuncs give the
+largest gap in blocks of values that the scratch rule
+:func:`~dispersim.grids.block_rows` sizes. Element-wise ufuncs give the
 same bits in any block, the maximum is exact, and every full-length
 ``np.sum`` and ``np.cumsum`` is taken as before, so blocks change no result.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateSample, EmptyFeasibleShift
-from .grids import GriddedDistribution, checked_grid, checked_value
+from .grids import GriddedDistribution, block_rows, checked_grid, checked_value
 from .laws import (
     LaplaceParams,
     LognormalParams,
@@ -44,9 +45,6 @@ FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
 #: bounds width.
 _SCAN_NODES = 65
 _SCAN_LEVELS = 5
-
-#: Values whose model cumulative and gap the KS distance takes at a time.
-_KS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -280,12 +278,16 @@ def _ks_of_sorted(values, cum, total, cdf) -> float:
     ``cum`` is the cumulative sum and ``total`` the sum of their weights,
     scaled as :func:`_sorted_scaled` scales them; ``cum`` is overwritten
     with the empirical fractions. The model cumulative and the gaps are
-    taken ``_KS_BLOCK`` values at a time (see the module notes).
+    taken a block of values at a time (see the module notes). At most five
+    block-length float arrays are alive at once: the model cumulative, the
+    first block's shifted fractions, and three of the differences, their
+    absolute values and the gaps.
     """
     fractions = np.divide(cum, total, out=cum)
     worst = 0.0
-    for lo in range(0, values.size, _KS_BLOCK):
-        hi = min(lo + _KS_BLOCK, values.size)
+    block = block_rows(5 * 8)
+    for lo in range(0, values.size, block):
+        hi = min(lo + block, values.size)
         model = np.asarray(cdf(values[lo:hi]), dtype=float)
         below = fractions[lo - 1:hi - 1] if lo else np.concatenate(([0.0], fractions[:hi - 1]))
         gaps = np.maximum(np.abs(fractions[lo:hi] - model), np.abs(below - model))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, ZeroMass
+from .errors import ModelError, NonConvergence, ZeroMass
 from .grids import (
     GriddedDistribution, checked_grid, checked_value, on_grid, running_trapezoid, trapezoid_areas,
 )
@@ -80,6 +80,8 @@ class _Map:
         norm = float(np.add.reduce(trapezoid_areas(out, self.steps, self.areas)))
         if norm <= 0.0:
             raise ZeroMass("density has no mass on the grid")
+        if norm == np.inf:
+            raise ModelError("the image's mass overflows on this grid")
         return np.divide(out, norm, out=out)
 
 
@@ -121,6 +123,10 @@ def fixed_point_solve(
 
     Raises
     ------
+    ModelError
+        If the running integral of the seed or of an iterate overflows, as
+        on a grid whose span is below about 1e-308, or the mass of an image
+        does, as from a heavy seed on a wide grid.
     NonConvergence
         If ``max_iter`` iterations pass without the gap falling below
         ``tol``; ``last_gap`` carries the final gap, and the message quotes
@@ -133,19 +139,23 @@ def fixed_point_solve(
     max_iter = checked_value("max_iter", max_iter, 0, count=True)
 
     step = _Map(grid)
-    cum = running_trapezoid(_seed_density(grid, init), step.steps, np.empty(grid.shape))
     density, new_cum = np.empty(grid.shape), np.empty(grid.shape)
     gap = np.inf
-    for iteration in range(1, max_iter + 1):
-        step(cum, density)
-        running_trapezoid(density, step.steps, new_cum)
-        # the old cumulative is spent: the gap is taken in its place
-        np.subtract(new_cum, cum, out=cum)
-        gap = float(np.abs(cum, out=cum).max())
-        cum, new_cum = new_cum, cum
-        if gap < tol:
-            dist = GriddedDistribution(grid.copy(), density)
-            return FixedPointResult(distribution=dist, n_iterations=iteration, gap=gap)
+    # an integral or a mass that overflows is refused, here or in the map, not warned about
+    with np.errstate(over="ignore"):
+        cum = running_trapezoid(_seed_density(grid, init), step.steps, np.empty(grid.shape))
+        for iteration in range(1, max_iter + 1):
+            if cum[-1] == np.inf:
+                raise ModelError(f"the density overflows after {iteration - 1} iterations")
+            step(cum, density)
+            running_trapezoid(density, step.steps, new_cum)
+            # the old cumulative is spent: the gap is taken in its place
+            np.subtract(new_cum, cum, out=cum)
+            gap = float(np.abs(cum, out=cum).max())
+            cum, new_cum = new_cum, cum
+            if gap < tol:
+                dist = GriddedDistribution(grid.copy(), density)
+                return FixedPointResult(distribution=dist, n_iterations=iteration, gap=gap)
     raise NonConvergence(
         f"no fixed point within {max_iter} iterations: last gap {gap!r} is not below "
         f"tol {tol!r}", last_gap=gap)

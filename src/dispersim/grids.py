@@ -8,8 +8,9 @@ construction, and derives its cumulative from the density on first use.
 
 The module also holds the package's input rules, each stated once: the
 value rule :func:`checked_value` for every parameter and input array, the
-grid rule :func:`checked_grid`, the on-grid rule :func:`on_grid`, and the
-step-count rule :func:`step_count`.
+grid rule :func:`checked_grid`, the on-grid rule :func:`on_grid`, the
+step-count rule :func:`step_count`, and the scratch rule :func:`block_rows`
+by which every blocked kernel sizes its blocks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ NORMALIZATION_TOL = 1e-9
 
 #: Most bytes that a run's per-step arrays may take, checked before they exist.
 STEP_BUDGET = 1 << 30
+
+#: Most bytes of scratch that one block of a blocked kernel may take.
+SCRATCH_BYTES = 1 << 20
 
 
 def checked_value(name: str, value, low: float = -math.inf, *, strict: bool = False,
@@ -88,6 +92,17 @@ def step_count(dt: float, horizon: float, step_bytes: int = 0) -> int:
         raise ValueError(f"dt = {dt!r} makes {steps:.3g} steps of {step_bytes} bytes, "
                          f"past the {STEP_BUDGET}-byte budget of per-step arrays")
     return round(steps)
+
+
+def block_rows(row_bytes: int) -> int:
+    """The scratch rule: rows of ``row_bytes`` that fit in :data:`SCRATCH_BYTES`, at least 1.
+
+    Each blocked kernel (the kinetic step loop, the mixture quadrature and
+    the KS distance) takes its block from the bytes its own scratch holds
+    per row, so one budget bounds every kernel's scratch whatever its input
+    length.
+    """
+    return max(1, SCRATCH_BYTES // row_bytes)
 
 
 def uniform_grid(p_min: float, p_max: float, n_points: int) -> np.ndarray:

@@ -10,12 +10,13 @@ bound at the start of a run and reported over the whole run as
 capped at the available stock so bin populations can never turn negative.
 
 The step loop runs in blocks of steps over preallocated rows, so a step
-allocates nothing and the scratch memory is bounded by a fixed 1 MiB
-budget whatever the run length; the per-block reductions give the same
-bits as a loop that books every step on its own. A block first runs
-without the cap and keeps those bits when its peak entering stock proves
-the cap slack, ``eta * dt * peak < 1/2``; only a block that fails the
-check pays for a second, capped pass.
+allocates nothing and the scratch memory is bounded by the package's
+scratch rule (:func:`~dispersim.grids.block_rows`) whatever the run
+length; the per-block reductions give the same bits as a loop that books
+every step on its own. A block first runs without the cap and keeps those
+bits when its peak entering stock proves the cap slack,
+``eta * dt * peak < 1/2``; only a block that fails the check pays for a
+second, capped pass.
 
 The price shapes of the inflows are a closure choice, not a law of the
 model. The ``monotone`` closure feeds buy orders mostly toward the floor
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
 from .grids import (
-    GriddedDistribution, checked_grid, checked_value, on_grid, step_count, trapezoid,
+    GriddedDistribution, block_rows, checked_grid, checked_value, on_grid, step_count, trapezoid,
 )
 from .laws import LaplaceParams, laplace_cdf, laplace_density
 
@@ -131,21 +132,27 @@ class InflowSpec:
         """Demand and supply inflow shapes as unit-integral densities.
 
         Raises :class:`~dispersim.errors.ZeroMass` if either shape
-        underflows to zero on the whole grid.
+        underflows to zero on the whole grid, and
+        :class:`~dispersim.errors.ModelError` if its integral or its unit-
+        integral values leave the float range, as on a grid whose span is
+        near 0 or near the float maximum.
         """
         grid = checked_grid(grid)
         ref = self.reference()
         if self.shape == "monotone":
-            demand = 1.0 - laplace_cdf(grid, ref)
             supply = laplace_cdf(grid, ref)
+            demand = 1.0 - supply
         else:
-            demand = laplace_density(grid, ref)
-            supply = demand.copy()
-        d_norm = trapezoid(demand, grid)
-        s_norm = trapezoid(supply, grid)
-        if d_norm <= 0.0 or s_norm <= 0.0:
-            raise ZeroMass("inflow shape vanishes on the whole grid")
-        return demand / d_norm, supply / s_norm
+            demand = supply = laplace_density(grid, ref)
+        with np.errstate(over="ignore"):  # a shape that overflows is refused below
+            d_norm, s_norm = trapezoid(demand, grid), trapezoid(supply, grid)
+            if d_norm <= 0.0 or s_norm <= 0.0:
+                raise ZeroMass("inflow shape vanishes on the whole grid")
+            demand, supply = demand / d_norm, supply / s_norm
+            sums = (float(demand.sum()), float(supply.sum()))
+        if not all(0.0 < total < math.inf for total in sums):
+            raise ModelError("an inflow shape leaves the float range on this grid")
+        return demand, supply
 
     def bin_weights(self, grid) -> tuple[np.ndarray, np.ndarray]:
         """Per-bin inflow weights, each summing to exactly 1.
@@ -183,25 +190,6 @@ class SimResult:
     final_state: MarketState
 
 
-#: Byte budget of the step loop's scratch buffers, whatever the run length.
-_SCRATCH_BYTES = 1 << 20
-
-#: Most steps per block; on coarse grids a block then stays in cache.
-_MAX_BLOCK = 64
-
-
-def _block_steps(bins: int) -> int:
-    """Steps per block of :func:`run` on ``bins`` bins.
-
-    A block step holds six float rows of the grid's length (stocks before
-    and after, uncapped units, transacted units, jittered inflows). The
-    block is the largest one whose rows, plus the seed row, fit in
-    :data:`_SCRATCH_BYTES`, at least 1.
-    """
-    row_bytes = 6 * 8 * bins + 16
-    return max(1, min(_MAX_BLOCK, _SCRATCH_BYTES // row_bytes - 1))
-
-
 def run(
     initial: MarketState,
     inflow: InflowSpec,
@@ -219,14 +207,16 @@ def run(
     The result is deterministic given ``(initial, inflow, dt, seed)``; the
     seed only feeds the optional inflow jitter.
 
-    Steps run in blocks of up to 64 steps. Within a block each
-    step writes into preallocated rows and allocates nothing; once per block
-    the totals series, the sales rates, the cap hits, the worst depletion
-    and the cumulative sales are reduced from those rows. The jitter
+    Steps run in blocks sized by the scratch rule
+    :func:`~dispersim.grids.block_rows`. Within a block each step writes
+    into preallocated rows and allocates nothing; once per block the totals
+    series, the sales rates, the cap hits, the worst depletion and the
+    cumulative sales are reduced from those rows. The jitter
     normals of a block are drawn in one call into its scratch, in step
     order, so they are the same stream as two normals drawn per step. The
-    scratch stays within 1 MiB on grids of up to about 11 000 bins, so
-    memory grows with the run length only through the per-step series.
+    scratch stays within :data:`~dispersim.grids.SCRATCH_BYTES` on grids
+    where a step and the seed row fit in it (up to 10 922 bins), so memory
+    grows with the run length only through the per-step series.
 
     Each block first runs without the cap: a step books
     ``(x_i * eta_dt) * z_i`` straight into its row, two multiplies. If the
@@ -244,7 +234,7 @@ def run(
     check and takes the capped pass.
 
     Every result is bitwise what a step-by-step loop over the same
-    arithmetic gives.
+    arithmetic gives, so the block size changes no bit.
 
     Raises
     ------
@@ -290,7 +280,10 @@ def run(
     # Scratch rows: stocks[k] enters step k and stocks[k + 1] leaves it;
     # booked[0] is the running sales and booked[k + 1] the units step k
     # transacts, so one outer-axis reduction books a whole block in order.
-    block = min(_block_steps(bins), n_steps)
+    # A step holds six float rows (stocks before and after, uncapped and
+    # transacted units, jittered inflows) and two jitter factors; one step's
+    # bytes are kept for the seed rows stocks[0] and booked[0].
+    block = min(max(1, block_rows(6 * 8 * bins + 16) - 1), n_steps)
     stocks = np.empty((block + 1, 2, bins))
     booked = np.empty((block + 1, bins))
     uncapped = np.empty((block, bins))
@@ -399,7 +392,8 @@ def stationary_state(grid, eta: float, inflow: InflowSpec) -> MarketState:
     With identical per-bin inflow rates ``r_i`` on both sides, stocks
     ``x_i = z_i = sqrt(r_i / eta)`` balance depletion against inflow:
     ``eta * x_i * z_i = r_i`` in every bin. Only defined for the matched
-    closure with equal rates.
+    closure with equal rates, and for an ``eta`` large enough that every
+    ``r_i / eta`` is finite; a smaller one is refused before it divides.
     """
     if inflow.shape != "matched":
         raise ValueError("stationary stocks are only defined for the matched closure")
@@ -407,5 +401,8 @@ def stationary_state(grid, eta: float, inflow: InflowSpec) -> MarketState:
         raise ValueError("stationary stocks need equal demand and supply rates")
     checked_value("eta", eta, 0.0, strict=True)
     d_weights, _ = inflow.bin_weights(grid)
+    # the largest quotient below, in the same float operations
+    if not float(inflow.demand_rate) * float(d_weights.max()) / float(eta) < math.inf:
+        raise ValueError(f"eta = {float(eta)!r} is too small: the stationary stocks overflow")
     stock = np.sqrt(inflow.demand_rate * d_weights / eta)
     return MarketState(grid=grid, x_bins=stock, z_bins=stock.copy(), eta=eta)

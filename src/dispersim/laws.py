@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-from .grids import checked_value
+from .grids import block_rows, checked_value
 
 __all__ = [
     "LaplaceParams", "LognormalParams", "laplace_cdf", "laplace_density", "laplace_eval",
@@ -31,10 +31,6 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 #: Smallest positive normal float.
 _TINY = np.finfo(float).tiny
-
-#: Most elements of one ``(block, 2, m)`` quadrature buffer. The three
-#: buffers of a rule then take 768 KiB, within a 1 MiB L2 cache.
-_MIXTURE_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
 # Two-sided exponential (Laplace)
@@ -273,10 +269,11 @@ def mixture_density(
     Each rule is applied to blocks of prices. The integrand of a block is
     evaluated in three ``(block, 2, m)`` buffers (the node ``t``, the gap
     and the conditional scale), allocated once a rule and reused by every
-    block with ``out=`` ufuncs. Each holds at most ``_MIXTURE_BLOCK``
-    elements (one price's ``2 m`` when that is more), so the buffers stay
-    in cache and a run that refines to many nodes needs memory bounded in
-    the prices. The ufuncs apply the plain formula's operations in its
+    block with ``out=`` ufuncs. A price takes ``3 * 2 * m`` floats of them,
+    from which the scratch rule :func:`~dispersim.grids.block_rows` sizes
+    the blocks (one price a block when its floats alone pass the budget),
+    so a run that refines to many nodes needs memory bounded in the
+    prices. The ufuncs apply the plain formula's operations in its
     order, each rounding once; ``p - floor`` is taken once for all prices,
     as the formula takes it first. Every step but the product with the
     weights is element-wise, and that product takes each price's row on
@@ -306,7 +303,7 @@ def mixture_density(
     def integrate(m: int) -> np.ndarray:
         x, w = _legendre_rule(m)
         density = np.empty(p.size)
-        rows = min(p.size, max(1, _MIXTURE_BLOCK // (2 * m)))
+        rows = min(p.size, block_rows(3 * 2 * m * 8))
         buffers = np.empty((3, rows, 2, m))
         for lo in range(0, p.size, rows):
             block = slice(lo, lo + rows)

@@ -239,6 +239,25 @@ def test_kinetic_vanishing_inflow_shape_exits_2_without_artifacts(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, cfg, exit_code, named", [
+    pytest.param(
+        "simulate-kinetic", KINETIC_CFG.replace("kinetic.eta = 1.0", "kinetic.eta = 5e-324"),
+        1, "eta = 5e-324 is too small", id="kinetic-eta"),
+    pytest.param(
+        "fixed-point", FIXED_POINT_CFG.replace("grid.max = 2\n", "grid.max = 2e-320\n")
+        .replace("grid.points = 201", "grid.points = 3"),
+        2, "the density overflows after 0 iterations", id="fixed-point-span"),
+])
+def test_a_quotient_that_would_overflow_is_refused_by_name_without_warnings(
+        tmp_path, capsys, command, cfg, exit_code, named):
+    # The suite turns RuntimeWarning into an error, so a warning on the way
+    # would end this call in a traceback rather than an exit code.
+    code, out = _run(tmp_path, command, cfg)
+    assert code == exit_code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     code, _ = _run(tmp_path, "simulate-kinetic", KINETIC_CFG + "kinetic.etaa = 2\n")
     assert code == 1

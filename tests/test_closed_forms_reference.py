@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersim import laws
+from dispersim import grids, laws
 from dispersim.errors import ModelError, NonConvergence, QuadratureError, ZeroMass
 from dispersim.fixedpoint import _seed_density, fixed_point_map, fixed_point_solve
 from dispersim.grids import checked_grid, cumulative_trapezoid, uniform_grid
@@ -188,7 +188,7 @@ def test_mixture_rules_spanning_several_blocks_with_a_short_last_one(monkeypatch
     prices = np.linspace(0.2, 3.0, 401)
     # 14 prices a block at 32 nodes and 7 at 64: 401 leaves a last block of
     # 9 and of 2 prices
-    monkeypatch.setattr(laws, "_MIXTURE_BLOCK", 2 * 64 * 7)
+    monkeypatch.setattr(grids, "SCRATCH_BYTES", 3 * 8 * 2 * 64 * 7)
     assert 401 % 14 == 9 and 401 % 7 == 2
     _assert_same_mixture(prices, law, rel_tol=1e-10)
     _assert_same_mixture(prices, law, n_nodes=130, rel_tol=1e-15)

@@ -279,8 +279,8 @@ def test_ks_of_single_point_at_model_median():
 
 
 def test_laplace_fit_and_ks_in_blocks_keep_the_bits_of_the_whole_array_formulas():
-    # three full KS blocks and a part one; the weights are scaled by a power
-    # of two, exactly, as the estimators scale them
+    # seven full KS blocks of 26 214 values and a part one of 13 115; the
+    # weights are scaled by a power of two, exactly, as the estimators scale them
     rng = np.random.default_rng(8)
     n = 3 * (1 << 16) + 5
     sample = Sample(rng.laplace(1.0, 0.2, n), rng.integers(1, 6, n).astype(float))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from dispersim.errors import NonConvergence, ZeroMass
+from dispersim.errors import DispersimError, ModelError, NonConvergence, ZeroMass
 from dispersim.estimate import fit_laplace
 from dispersim.fixedpoint import FixedPointResult, fixed_point_map, fixed_point_solve
 from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
@@ -147,6 +148,48 @@ def test_solver_validates_arguments():
         fixed_point_solve(grid, init=-np.ones(101))
     with pytest.raises(ValueError, match="init density is identically zero"):
         fixed_point_solve(grid, np.zeros(101))
+
+
+def test_seeds_iterates_and_images_that_overflow_are_model_errors():
+    # the uniform seed 1 / span is infinite; seeding with it warned and
+    # ended in a NaN gap
+    with pytest.raises(ModelError, match="the density overflows after 0 iterations"):
+        fixed_point_solve(np.array([0.0, 1e-320, 2e-320]))
+    # the seed's integral is 1e-10, and its image's mass underflows to a
+    # subnormal that the image then overflows against
+    with pytest.raises(ModelError, match="the density overflows after 1 iterations"):
+        fixed_point_solve(uniform_grid(0.0, 1e-310, 3), np.full(3, 1e300))
+    # the seed's integral is finite, the mass of its image is not
+    with pytest.raises(ModelError, match="mass overflows"):
+        fixed_point_solve(uniform_grid(0.0, 1e300, 3), np.ones(3))
+
+
+#: Positive floats from the smallest subnormal to the largest float, with
+#: the ends of the range and of the normal range drawn often.
+_EXTREME = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-310, float(np.finfo(float).tiny), 1e-300, 1.0,
+                     1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=_EXTREME, points=st.integers(3, 6),
+       scale=st.one_of(st.none(), _EXTREME), seed=st.integers(0, 2**16),
+       tol=st.sampled_from([1e-12, 1e-3, 0.5]), max_iter=st.integers(0, 4))
+# the uniform seed 1 / span is infinite
+@example(lo=0.0, span=2e-320, points=3, scale=None, seed=0, tol=1e-3, max_iter=4)
+# a seed near the largest float, whose running integral overflows
+@example(lo=0.0, span=2.0, points=3, scale=1.7e308, seed=0, tol=1e-3, max_iter=4)
+def test_solve_is_finite_or_refused_by_name_at_the_float_edges(
+        lo, span, points, scale, seed, tol, max_iter):
+    try:
+        grid = uniform_grid(lo, lo + span, points)
+        init = (None if scale is None
+                else scale * np.random.default_rng(seed).uniform(0.0, 1.0, points))
+        result = fixed_point_solve(grid, init, tol, max_iter)
+    except (DispersimError, ValueError):
+        return
+    assert np.isfinite(result.distribution.density).all()
 
 
 def test_solution_distribution_satisfies_distribution_invariants():

@@ -22,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
+from dispersim import grids
 from dispersim.errors import ModelError, ZeroMass
 from dispersim.grids import (
     STEP_BUDGET,
@@ -31,9 +32,10 @@ from dispersim.grids import (
     trapezoid,
     uniform_grid,
 )
-from dispersim.estimate import histogram
+from dispersim.estimate import histogram, ks_statistic
 from dispersim.fixedpoint import fixed_point_map, fixed_point_solve
 from dispersim.kinetic import InflowSpec, MarketState, initial_state, run, stationary_state
+from dispersim.laws import LaplaceParams, LognormalParams, laplace_cdf, mixture_density
 from dispersim.quasistatic import SupplyDemandCurves, quasi_static_density
 from dispersim.samples import Sample
 
@@ -79,6 +81,39 @@ def test_step_count_rounds_and_keeps_the_byte_budget():
                                  (0.1, np.inf, "horizon must be finite and at least dt")]:
         with pytest.raises(ValueError, match=message):
             step_count(dt, horizon)
+
+
+def test_every_scratch_budget_keeps_every_bit(monkeypatch):
+    # the mixture, a jittered kinetic run and the KS distance, each blocked
+    # by the scratch rule
+    law = LognormalParams(gamma=1.0, omega=0.3)
+    prices = np.linspace(0.2, 3.0, 401)
+    grid = uniform_grid(0.0, 2.0, 101)
+    # from empty books: under the small budgets the first blocks stay slack
+    # and later ones rerun under the cap; from 214 steps a block, every block
+    # reruns
+    inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone", jitter=0.2)
+    start = initial_state(grid, 1.0, inflow)
+    sample = Sample(np.random.default_rng(8).laplace(1.0, 0.2, 3001))
+    params = LaplaceParams(mu=1.0, sigma=0.2)
+
+    def outcome():
+        sim = run(start, inflow, 0.02, 400 * 0.02, seed=1)
+        final = sim.final_state
+        arrays = (mixture_density(prices, law, rel_tol=1e-10), sim.sales_histogram.density,
+                  sim.times, sim.x_series, sim.z_series, sim.sales_rate_series, final.x_bins,
+                  final.z_bins, final.cumulative_sales,
+                  [sim.event_count, sim.worst_depletion,
+                   ks_statistic(sample, lambda x: laplace_cdf(x, params))])
+        return [np.asarray(array, dtype=float).tobytes() for array in arrays], sim.cap_hits
+
+    default = outcome()
+    assert default[1] > 0
+    # one row a block; seven prices a block at 64 nodes and one from 512
+    # nodes on, 3 steps and 537 values a block; one block for the whole run
+    for budget in (1, 3 * 8 * 2 * 64 * 7, 1 << 26):
+        monkeypatch.setattr(grids, "SCRATCH_BYTES", budget)
+        assert outcome() == default, budget
 
 
 def test_trapezoid_matches_quadratic_rule():

@@ -18,12 +18,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from dispersim.errors import ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume
+from dispersim.errors import (
+    DispersimError, ModelError, StabilityViolation, ZeroMass, ZeroSalesVolume,
+)
 from dispersim.estimate import fit_laplace
-from dispersim.grids import uniform_grid
+from dispersim.grids import SCRATCH_BYTES, uniform_grid
 from dispersim.kinetic import (
-    _SCRATCH_BYTES,
     STABILITY_BOUND,
     InflowSpec,
     MarketState,
@@ -379,7 +381,7 @@ def test_step_loop_scratch_is_bounded_in_steps_and_bins():
         tracemalloc.stop()
     # times, x_series, z_series and sales_rate_series, the scratch budget,
     # and a few grid-length arrays (weights, sales, final stocks, the law)
-    assert peak < 4 * 8 * n_steps + _SCRATCH_BYTES + 16 * 8 * grid.size
+    assert peak < 4 * 8 * n_steps + SCRATCH_BYTES + 16 * 8 * grid.size
 
 
 def test_run_series_are_consistent_with_event_count():
@@ -414,6 +416,51 @@ def test_stationary_state_requires_matched_balanced_inflows():
         stationary_state(grid, 1.0, InflowSpec(1.0, 2.0, 1.0, 0.2, shape="matched"))
     with pytest.raises(ValueError):
         stationary_state(grid, 0.0, InflowSpec(1.0, 1.0, 1.0, 0.2, shape="matched"))
+
+
+def test_stationary_state_refuses_an_eta_whose_stocks_overflow_before_dividing():
+    # rate / eta overflows in every bin; dividing first would warn
+    grid = uniform_grid(0.0, 2.0, 101)
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched")
+    with pytest.raises(ValueError, match="eta = 5e-324 is too small"):
+        stationary_state(grid, 5e-324, inflow)
+
+
+#: Positive floats from the smallest subnormal to the largest float, with
+#: the ends of the range and of the normal range drawn often.
+_EXTREME = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-310, float(np.finfo(float).tiny), 1e-300, 1.0,
+                     1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=_EXTREME, points=st.integers(2, 6),
+       eta=_EXTREME, rate=st.one_of(st.just(0.0), _EXTREME), sigma=_EXTREME,
+       where=st.floats(-2.0, 3.0), total=st.one_of(st.just(0.0), _EXTREME),
+       matched=st.booleans())
+# eta = 5e-324 makes the stationary stocks overflow
+@example(lo=0.0, span=2.0, points=101, eta=5e-324, rate=100.0, sigma=0.2, where=0.5,
+         total=0.0, matched=True)
+# a subnormal span makes the unit-integral inflow shapes overflow
+@example(lo=0.0, span=1e-320, points=3, eta=1.0, rate=1.0, sigma=0.2, where=0.5,
+         total=1.0, matched=False)
+# the largest span makes the matched shape's integral overflow
+@example(lo=0.0, span=1.7e308, points=3, eta=1.0, rate=1.0, sigma=0.2, where=0.5,
+         total=1.0, matched=True)
+def test_market_states_are_finite_or_refused_by_name_at_the_float_edges(
+        lo, span, points, eta, rate, sigma, where, total, matched):
+    try:
+        grid = uniform_grid(lo, lo + span, points)
+        inflow = InflowSpec(rate, rate, lo + where * span, sigma,
+                            shape="matched" if matched else "monotone")
+        states = [initial_state(grid, eta, inflow, total, total)]
+        if matched:
+            states.append(stationary_state(grid, eta, inflow))
+    except (DispersimError, ValueError):
+        return
+    for state in states:
+        assert np.isfinite(state.x_bins).all() and np.isfinite(state.z_bins).all()
 
 
 @pytest.mark.parametrize("shape", ["monotone", "matched"])

@@ -350,15 +350,6 @@ def test_mixture_reports_achieved_error_when_refinement_stalls():
     assert exc.value.achieved > 1e-6
 
 
-def test_mixture_blocks_of_prices_keep_every_bit(monkeypatch):
-    law = LognormalParams(gamma=1.0, omega=0.3)
-    p = np.linspace(0.2, 3.0, 401)
-    whole = mixture_density(p, law, rel_tol=1e-10)
-    # seven prices a block at 64 nodes, one a block from 512 nodes on
-    monkeypatch.setattr(laws, "_MIXTURE_BLOCK", 2 * 64 * 7)
-    assert mixture_density(p, law, rel_tol=1e-10).tobytes() == whole.tobytes()
-
-
 def test_mixture_that_does_not_converge_needs_memory_bounded_in_the_prices():
     # unblocked, each (prices, 2, 2048) temporary of this run takes 33 MB
     # and the run peaks near 190 MB
