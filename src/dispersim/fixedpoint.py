@@ -95,6 +95,17 @@ def _seed_density(grid: np.ndarray, init) -> np.ndarray:
     return density
 
 
+def _finite_integral(density, steps, out, iterations: int) -> np.ndarray:
+    """The running integral of ``density`` into ``out``; ``ModelError`` if it overflows.
+
+    The integral of a nonnegative density is largest at its end.
+    """
+    running_trapezoid(density, steps, out)
+    if out[-1] == np.inf:
+        raise ModelError(f"the density overflows after {iterations} iterations")
+    return out
+
+
 def fixed_point_solve(
     grid: np.ndarray,
     init=None,
@@ -125,8 +136,8 @@ def fixed_point_solve(
     ------
     ModelError
         If the running integral of the seed or of an iterate overflows, as
-        on a grid whose span is below about 1e-308, or the mass of an image
-        does, as from a heavy seed on a wide grid.
+        on a grid whose span is near the grid rule's least, or the mass of
+        an image does, as from a heavy seed on a wide grid.
     NonConvergence
         If ``max_iter`` iterations pass without the gap falling below
         ``tol``; ``last_gap`` carries the final gap, and the message quotes
@@ -143,12 +154,10 @@ def fixed_point_solve(
     gap = np.inf
     # an integral or a mass that overflows is refused, here or in the map, not warned about
     with np.errstate(over="ignore"):
-        cum = running_trapezoid(_seed_density(grid, init), step.steps, np.empty(grid.shape))
+        cum = _finite_integral(_seed_density(grid, init), step.steps, np.empty(grid.shape), 0)
         for iteration in range(1, max_iter + 1):
-            if cum[-1] == np.inf:
-                raise ModelError(f"the density overflows after {iteration - 1} iterations")
             step(cum, density)
-            running_trapezoid(density, step.steps, new_cum)
+            _finite_integral(density, step.steps, new_cum, iteration)
             # the old cumulative is spent: the gap is taken in its place
             np.subtract(new_cum, cum, out=cum)
             gap = float(np.abs(cum, out=cum).max())

@@ -163,18 +163,22 @@ def checked_grid(grid) -> np.ndarray:
 
     A grid is 1-D with at least 2 nodes that strictly increase, and its
     span ``grid[-1] - grid[0]`` is finite, so every node and step is too.
+    So is ``1 / span``, the density of the uniform law on the grid: below
+    a span of about 5.6e-309 no law has a density in the float range.
     The nodes are compared, not subtracted, and the span is taken in Python
-    floats, so a grid such as ``[-1.7e308, 0, 1.7e308]`` is refused here
-    rather than warned about. Every gridded entry point of the package
+    floats, so grids such as ``[-1.7e308, 0, 1.7e308]`` and
+    ``[0, 1e-320, 2e-320]`` are refused here rather than warned about
+    where they are used. Every gridded entry point of the package
     checks its grid with this one rule, and the arrays laid on it with
     :func:`on_grid`.
     """
     grid = np.asarray(grid, dtype=float)
-    if (grid.ndim == 1 and grid.size >= 2 and np.all(grid[1:] > grid[:-1])
-            and float(grid[-1]) - float(grid[0]) < math.inf):
-        return grid
+    if grid.ndim == 1 and grid.size >= 2 and np.all(grid[1:] > grid[:-1]):
+        span = float(grid[-1]) - float(grid[0])
+        if span < math.inf and 1.0 / span < math.inf:
+            return grid
     raise ValueError("grid must be 1-D and strictly increasing, with at least 2 points "
-                     "and finite steps and span")
+                     "and finite steps and span, and 1 / span finite")
 
 
 def on_grid(grid: np.ndarray, *arrays) -> list[np.ndarray]:

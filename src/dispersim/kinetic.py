@@ -135,7 +135,7 @@ class InflowSpec:
         underflows to zero on the whole grid, and
         :class:`~dispersim.errors.ModelError` if its integral or its unit-
         integral values leave the float range, as on a grid whose span is
-        near 0 or near the float maximum.
+        near the grid rule's least or near the float maximum.
         """
         grid = checked_grid(grid)
         ref = self.reference()
@@ -190,6 +190,20 @@ class SimResult:
     final_state: MarketState
 
 
+def _block_steps(bins: int) -> int:
+    """Steps per block of :func:`run` on ``bins`` bins, by the scratch rule.
+
+    A step holds six float rows of the grid's length (stocks after it, two
+    rows; uncapped and transacted units; jittered inflows, two rows), a
+    byte a bin of the capped pass's hit mask, two jitter factors, and the
+    Python objects the loop walks: a tuple of eight row views and one more
+    view with jitter, which tracemalloc puts at 1049 bytes a step under
+    numpy 2.4 and which are counted as 1152. One step's bytes are kept for
+    the seed rows.
+    """
+    return max(1, block_rows((6 * 8 + 1) * bins + 16 + 1152) - 1)
+
+
 def run(
     initial: MarketState,
     inflow: InflowSpec,
@@ -215,7 +229,7 @@ def run(
     normals of a block are drawn in one call into its scratch, in step
     order, so they are the same stream as two normals drawn per step. The
     scratch stays within :data:`~dispersim.grids.SCRATCH_BYTES` on grids
-    where a step and the seed row fit in it (up to 10 922 bins), so memory
+    where a step and the seed row fit in it (up to 10 675 bins), so memory
     grows with the run length only through the per-step series.
 
     Each block first runs without the cap: a step books
@@ -280,10 +294,7 @@ def run(
     # Scratch rows: stocks[k] enters step k and stocks[k + 1] leaves it;
     # booked[0] is the running sales and booked[k + 1] the units step k
     # transacts, so one outer-axis reduction books a whole block in order.
-    # A step holds six float rows (stocks before and after, uncapped and
-    # transacted units, jittered inflows) and two jitter factors; one step's
-    # bytes are kept for the seed rows stocks[0] and booked[0].
-    block = min(max(1, block_rows(6 * 8 * bins + 16) - 1), n_steps)
+    block = min(_block_steps(bins), n_steps)
     stocks = np.empty((block + 1, 2, bins))
     booked = np.empty((block + 1, bins))
     uncapped = np.empty((block, bins))
@@ -310,7 +321,9 @@ def run(
                 np.multiply(factors[:m], jitter, out=factors[:m])
                 np.subtract(factors[:m], half_var, out=factors[:m])
                 np.exp(factors[:m], out=factors[:m])
-                np.multiply(factors[:m, :, None], inflows, out=added[:m])
+                # each factor times its side's inflows, the products of the
+                # broadcast multiply without its ufunc buffers (up to 128 KiB)
+                np.einsum("ij,jk->ijk", factors[:m], inflows, out=added[:m])
             # uncapped first, kept if the peak proves the cap slack (see the
             # docstring); a rerun starts from stocks[0], which no step writes
             for capped in (False, True):

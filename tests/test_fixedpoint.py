@@ -14,6 +14,8 @@ from dispersim.grids import GriddedDistribution, trapezoid, uniform_grid
 from dispersim.laws import LaplaceParams, laplace_density
 from dispersim.samples import Sample
 
+from float_edges import EXTREME
+
 
 def test_map_output_is_a_unit_density():
     grid = uniform_grid(0.0, 2.0, 1001)
@@ -151,33 +153,33 @@ def test_solver_validates_arguments():
 
 
 def test_seeds_iterates_and_images_that_overflow_are_model_errors():
-    # the uniform seed 1 / span is infinite; seeding with it warned and
-    # ended in a NaN gap
-    with pytest.raises(ModelError, match="the density overflows after 0 iterations"):
+    # the uniform seed 1 / span is infinite, so no law has a density on
+    # this grid; seeding with it warned and ended in a NaN gap
+    with pytest.raises(ValueError, match="1 / span finite"):
         fixed_point_solve(np.array([0.0, 1e-320, 2e-320]))
-    # the seed's integral is 1e-10, and its image's mass underflows to a
-    # subnormal that the image then overflows against
-    with pytest.raises(ModelError, match="the density overflows after 1 iterations"):
-        fixed_point_solve(uniform_grid(0.0, 1e-310, 3), np.full(3, 1e300))
+    # the uniform seed 1e308 is finite, but 1e308 + 1e308 in its first
+    # trapezoid area is not; it is refused before any iteration
+    with pytest.raises(ModelError, match="the density overflows after 0 iterations"):
+        fixed_point_solve(uniform_grid(0.0, 1e-308, 3), max_iter=0)
+    # the fourth iterate peaks past half the largest float; refused as the
+    # overflow, not as a failure to converge with an infinite gap
+    with pytest.raises(ModelError, match="the density overflows after 4 iterations"):
+        fixed_point_solve(uniform_grid(0.0, 2e-308, 5), tol=1e-12, max_iter=4)
     # the seed's integral is finite, the mass of its image is not
     with pytest.raises(ModelError, match="mass overflows"):
         fixed_point_solve(uniform_grid(0.0, 1e300, 3), np.ones(3))
 
 
-#: Positive floats from the smallest subnormal to the largest float, with
-#: the ends of the range and of the normal range drawn often.
-_EXTREME = st.one_of(
-    st.sampled_from([5e-324, 1e-320, 1e-310, float(np.finfo(float).tiny), 1e-300, 1.0,
-                     1e300, 1.7e308]),
-    st.floats(min_value=5e-324, max_value=1.7e308))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=_EXTREME, points=st.integers(3, 6),
-       scale=st.one_of(st.none(), _EXTREME), seed=st.integers(0, 2**16),
+@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=EXTREME, points=st.integers(3, 6),
+       scale=st.one_of(st.none(), EXTREME), seed=st.integers(0, 2**16),
        tol=st.sampled_from([1e-12, 1e-3, 0.5]), max_iter=st.integers(0, 4))
-# the uniform seed 1 / span is infinite
+# the uniform seed 1 / span is infinite, which the grid rule refuses
 @example(lo=0.0, span=2e-320, points=3, scale=None, seed=0, tol=1e-3, max_iter=4)
+# the uniform seed is finite but its running integral overflows
+@example(lo=0.0, span=1e-308, points=3, scale=None, seed=0, tol=1e-3, max_iter=0)
+# an iterate overflows on the last iteration allowed
+@example(lo=0.0, span=2e-308, points=5, scale=None, seed=0, tol=1e-12, max_iter=4)
 # a seed near the largest float, whose running integral overflows
 @example(lo=0.0, span=2.0, points=3, scale=1.7e308, seed=0, tol=1e-3, max_iter=4)
 def test_solve_is_finite_or_refused_by_name_at_the_float_edges(

@@ -90,7 +90,7 @@ def test_every_scratch_budget_keeps_every_bit(monkeypatch):
     prices = np.linspace(0.2, 3.0, 401)
     grid = uniform_grid(0.0, 2.0, 101)
     # from empty books: under the small budgets the first blocks stay slack
-    # and later ones rerun under the cap; from 214 steps a block, every block
+    # and later ones rerun under the cap; under the default budget every block
     # reruns
     inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone", jitter=0.2)
     start = initial_state(grid, 1.0, inflow)
@@ -110,7 +110,7 @@ def test_every_scratch_budget_keeps_every_bit(monkeypatch):
     default = outcome()
     assert default[1] > 0
     # one row a block; seven prices a block at 64 nodes and one from 512
-    # nodes on, 3 steps and 537 values a block; one block for the whole run
+    # nodes on, 2 steps and 537 values a block; one block for the whole run
     for budget in (1, 3 * 8 * 2 * 64 * 7, 1 << 26):
         monkeypatch.setattr(grids, "SCRATCH_BYTES", budget)
         assert outcome() == default, budget
@@ -209,10 +209,10 @@ def test_every_gridded_entry_point_refuses_a_bad_grid_or_shape_without_warning(n
     call = _GRIDDED[name]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # a step past the float range, a span past it from finite steps, and
-        # a step to an infinite node
+        # a step past the float range, a span past it from finite steps, a
+        # step to an infinite node, and a span whose reciprocal overflows
         for grid in (np.array([-1.7e308, 1.7e308]), np.array([-1.7e308, 0.0, 1.7e308]),
-                     np.array([0.0, 1.0, np.inf])):
+                     np.array([0.0, 1.0, np.inf]), np.array([0.0, 1e-320, 2e-320])):
             with pytest.raises(ValueError, match="finite steps"):
                 call(grid, grid.size)
         if name in _TAKES_ARRAYS:

@@ -36,6 +36,8 @@ from dispersim.kinetic import (
 from dispersim.quasistatic import SupplyDemandCurves, intercept_price
 from dispersim.samples import Sample
 
+from float_edges import EXTREME
+
 
 def _quiet_inflow() -> InflowSpec:
     return InflowSpec(0.0, 0.0, mu_ref=1.0, sigma_ref=0.2)
@@ -368,11 +370,13 @@ def test_worst_depletion_is_the_largest_fraction_over_entering_stocks():
     assert result.worst_depletion < 0.1 * max(x.max(), z.max())
 
 
-def test_step_loop_scratch_is_bounded_in_steps_and_bins():
-    grid = uniform_grid(0.0, 2.0, 2001)
+@pytest.mark.parametrize("bins", [2, 101, 2001])
+def test_step_loop_scratch_is_bounded_in_steps_and_bins(bins):
+    grid = uniform_grid(0.0, 2.0, bins)
     inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched", jitter=0.2)
     state = stationary_state(grid, 1.0, inflow)
     n_steps = 20_000
+    run(state, inflow, dt=0.01, horizon=0.01, seed=1)  # numpy.random loads on first use
     tracemalloc.start()
     try:
         run(state, inflow, dt=0.01, horizon=n_steps * 0.01, seed=1)
@@ -426,24 +430,16 @@ def test_stationary_state_refuses_an_eta_whose_stocks_overflow_before_dividing()
         stationary_state(grid, 5e-324, inflow)
 
 
-#: Positive floats from the smallest subnormal to the largest float, with
-#: the ends of the range and of the normal range drawn often.
-_EXTREME = st.one_of(
-    st.sampled_from([5e-324, 1e-320, 1e-310, float(np.finfo(float).tiny), 1e-300, 1.0,
-                     1e300, 1.7e308]),
-    st.floats(min_value=5e-324, max_value=1.7e308))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=_EXTREME, points=st.integers(2, 6),
-       eta=_EXTREME, rate=st.one_of(st.just(0.0), _EXTREME), sigma=_EXTREME,
-       where=st.floats(-2.0, 3.0), total=st.one_of(st.just(0.0), _EXTREME),
+@given(lo=st.sampled_from([0.0, 1.0, -1e300, 1e300]), span=EXTREME, points=st.integers(2, 6),
+       eta=EXTREME, rate=st.one_of(st.just(0.0), EXTREME), sigma=EXTREME,
+       where=st.floats(-2.0, 3.0), total=st.one_of(st.just(0.0), EXTREME),
        matched=st.booleans())
 # eta = 5e-324 makes the stationary stocks overflow
 @example(lo=0.0, span=2.0, points=101, eta=5e-324, rate=100.0, sigma=0.2, where=0.5,
          total=0.0, matched=True)
-# a subnormal span makes the unit-integral inflow shapes overflow
-@example(lo=0.0, span=1e-320, points=3, eta=1.0, rate=1.0, sigma=0.2, where=0.5,
+# a span near the grid rule's least makes the unit-integral inflow shapes overflow
+@example(lo=0.0, span=6e-309, points=3, eta=1.0, rate=1.0, sigma=0.2, where=0.5,
          total=1.0, matched=False)
 # the largest span makes the matched shape's integral overflow
 @example(lo=0.0, span=1.7e308, points=3, eta=1.0, rate=1.0, sigma=0.2, where=0.5,

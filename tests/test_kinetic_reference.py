@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dispersim import grids
+from dispersim import kinetic
 from dispersim.errors import StabilityViolation, ZeroSalesVolume
 from dispersim.grids import GriddedDistribution, uniform_grid
 from dispersim.kinetic import (
     STABILITY_BOUND,
     InflowSpec,
     MarketState,
+    _block_steps,
     initial_state,
     run,
     stationary_state,
@@ -152,19 +153,10 @@ def _assert_same_outcome(initial, inflow, dt, horizon, seed):
     return got
 
 
-def _budget(bins: int, block: int) -> int:
-    """A scratch budget under which ``run`` on ``bins`` bins takes ``block`` steps a block.
-
-    ``run`` counts ``6 * 8 * bins + 16`` bytes a step and one step more for
-    its seed rows.
-    """
-    return (block + 1) * (6 * 8 * bins + 16)
-
-
 @st.composite
 def _markets(draw):
     bins = draw(st.one_of(st.integers(2, 12), st.integers(13, 3000)))
-    block = draw(st.integers(1, 64))
+    block = _block_steps(bins)
     n_steps = draw(st.sampled_from(
         [1, max(block - 1, 1), block, block + 1, 3 * block + 2]))
     dt = draw(st.sampled_from([0.001, 0.01, 0.05, 0.2]))
@@ -191,26 +183,39 @@ def _markets(draw):
         cumulative_sales=rng.uniform(0.0, 5.0, bins) if continuing else None,
         cap_hits=int(rng.integers(0, 1000)) if continuing else 0,
     )
-    return _budget(bins, block), (initial, inflow, dt, n_steps * dt, draw(st.integers(0, 2**16)))
+    return initial, inflow, dt, n_steps * dt, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=150)
 @given(_markets())
 def test_blocked_loop_matches_the_per_step_loop(market):
-    budget, run_args = market
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grids, "SCRATCH_BYTES", budget)
-        _assert_same_outcome(*run_args)
+    _assert_same_outcome(*market)
+
+
+def _blocks_of_64(monkeypatch) -> int:
+    monkeypatch.setattr(kinetic, "_block_steps", lambda bins: 64)
+    return 64
 
 
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
 @pytest.mark.parametrize("bins", [2, 3, 101])
 def test_block_edges_match_the_per_step_loop(monkeypatch, bins, jitter, n_steps):
-    monkeypatch.setattr(grids, "SCRATCH_BYTES", _budget(bins, 64))
+    _blocks_of_64(monkeypatch)
     grid = uniform_grid(0.0, 2.0, bins)
     inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="monotone", jitter=jitter)
     initial = initial_state(grid, 1.0, inflow, x_total=0.05, z_total=0.05)
+    assert _assert_same_outcome(initial, inflow, 0.01, n_steps * 0.01, 7) is not None
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("bins", [2, 3, 101])
+def test_shipped_block_edges_match_the_per_step_loop(bins, jitter, offset):
+    grid = uniform_grid(0.0, 2.0, bins)
+    inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="monotone", jitter=jitter)
+    initial = initial_state(grid, 1.0, inflow, x_total=0.05, z_total=0.05)
+    n_steps = _block_steps(bins) + offset
     assert _assert_same_outcome(initial, inflow, 0.01, n_steps * 0.01, 7) is not None
 
 
@@ -252,7 +257,8 @@ def test_step_size_refusals_match_the_per_step_loop(dt, horizon):
 # Each block first runs without the cap and keeps those bits when its peak
 # entering stock keeps eta * dt * peak below 1/2; otherwise it reruns with
 # the cap. The cases below take each way through that check, and the last
-# three reach the cap only after a first block of 64 steps that stays slack.
+# three reach the cap only after a first block that stays slack, which at
+# 101 bins takes blocks of fewer than 112 steps: they run 64 a block.
 
 
 def test_run_whose_blocks_are_all_slack_matches_the_per_step_loop():
@@ -277,8 +283,7 @@ def test_jittered_run_that_reaches_the_cap_partway_matches_the_per_step_loop(mon
     grid = uniform_grid(0.0, 2.0, 101)
     inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone", jitter=0.2)
     initial = initial_state(grid, 1.0, inflow)
-    block = 64
-    monkeypatch.setattr(grids, "SCRATCH_BYTES", _budget(grid.size, block))
+    block = _blocks_of_64(monkeypatch)
     first = _assert_same_outcome(initial, inflow, 0.02, block * 0.02, 1)
     assert first.worst_depletion < 0.5 and first.cap_hits == 0
     got = _assert_same_outcome(initial, inflow, 0.02, 400 * 0.02, 1)
@@ -290,8 +295,7 @@ def test_unjittered_run_that_reaches_the_cap_partway_matches_the_per_step_loop(m
     grid = uniform_grid(0.0, 2.0, 101)
     inflow = InflowSpec(500.0, 100.0, 1.0, 0.2, shape="monotone")
     initial = initial_state(grid, 1.0, inflow)
-    block = 64
-    monkeypatch.setattr(grids, "SCRATCH_BYTES", _budget(grid.size, block))
+    block = _blocks_of_64(monkeypatch)
     first = _assert_same_outcome(initial, inflow, 0.02, block * 0.02, 0)
     assert first.worst_depletion < 0.5 and first.cap_hits == 0
     got = _assert_same_outcome(initial, inflow, 0.02, 400 * 0.02, 0)
@@ -305,8 +309,7 @@ def test_run_that_large_jitter_drives_to_the_cap_matches_the_per_step_loop(monke
     steady = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched")
     inflow = InflowSpec(100.0, 100.0, 1.0, 0.2, shape="matched", jitter=2.0)
     initial = initial_state(grid, 1.0, inflow)
-    block = 64
-    monkeypatch.setattr(grids, "SCRATCH_BYTES", _budget(grid.size, block))
+    block = _blocks_of_64(monkeypatch)
     calm = _assert_same_outcome(initial, steady, 0.05, 400 * 0.05, 0)
     assert calm.worst_depletion < 0.5 and calm.cap_hits == 0
     first = _assert_same_outcome(initial, inflow, 0.05, block * 0.05, 0)
