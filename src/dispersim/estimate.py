@@ -7,7 +7,8 @@ power of two, so that weights near the top of the float range cannot
 overflow them. Each fit returns a :class:`FitResult` carrying the family
 name, the estimates, the attained log-likelihood, and the weighted
 Kolmogorov-Smirnov distance against the fitted law itself. Everything here
-is numpy: the shifted lognormal shift is found by nested grid scans.
+is numpy: the shifted lognormal shift is found by one grid scan and a
+bisection on the closed-form slope of the profile likelihood.
 
 Full-length temporaries are few. The Laplace fit takes its deviations in
 one buffer with ``out=`` ufuncs. The KS distance turns the fit's cumulative
@@ -39,12 +40,11 @@ __all__ = ["FitResult", "fit_laplace", "fit_shifted_lognormal", "histogram", "ks
 FAMILY_LAPLACE = "laplace"
 FAMILY_SHIFTED_LOGNORMAL = "shifted-lognormal"
 
-#: The shift search scans this many shifts at a time (odd, so each scan's
-#: best shift is a node of the next), ``_SCAN_LEVELS`` times. Each scan
-#: narrows the bracket 32-fold, so the last one spans less than 1e-6 of the
-#: bounds width.
+#: The shift search scans this many evenly spaced shifts over the bounds,
+#: then bisects the two cells around the best one on the sign of the
+#: profile's slope until the bracket spans ``_RESOLUTION`` of the bounds width.
 _SCAN_NODES = 65
-_SCAN_LEVELS = 5
+_RESOLUTION = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,22 @@ def _scaled_back(x: float, exponent: int) -> float:
         return float(np.ldexp(x, exponent))
 
 
-def _log_moments(shift: float, values, weights, total) -> tuple[float, float]:
-    """Weighted mean and variance of ``log(values - shift)``."""
-    y = np.log(values - shift)
+def _log_moments(shift: float, values, weights, total, slope=False) -> tuple[float, ...]:
+    """Weighted mean and variance of ``y = log(values - shift)``.
+
+    With ``slope``, a third item carries the sign of the derivative in
+    ``shift`` of the negative profile ``0.5 * log(var) + mean``, which is
+    ``-E_w[(y - mean + var) / (values - shift)] / var``. It is that
+    derivative times ``var * (values[0] - shift)``: for ascending values each
+    ratio ``(values[0] - shift) / (values - shift)`` lies in (0, 1], so no
+    term overflows, not even on subnormal gaps.
+    """
+    gaps = values - shift
+    y = np.log(gaps)
     mean = float(np.sum(weights * y) / total)
     var = float(np.sum(weights * (y - mean) ** 2) / total)
+    if slope:
+        return mean, var, -float(np.sum(weights * (y - mean + var) * (gaps[0] / gaps)))
     return mean, var
 
 
@@ -164,13 +175,17 @@ def fit_shifted_lognormal(
 
     For a fixed shift the location and log-scale estimates are the weighted
     mean and standard deviation of the shifted logs, in closed form; the
-    concentrated likelihood is then maximized over the shift by nested
-    scans of 65 evenly spaced shifts: first over the bounds, then four
-    times over the two cells around the last scan's best shift. Each scan
-    narrows the bracket 32-fold, so the last spans less than 1e-6 of the
-    bounds width, and the search ends after five scans however narrow the
-    bounds are. The best shift is a node of the next scan, so the profile
-    never falls from scan to scan.
+    concentrated likelihood is then maximized over the shift. One scan of
+    65 evenly spaced shifts over the bounds picks the best node, and the
+    two cells around it (one at a bound) are bisected on the sign of the
+    profile's slope, which is closed-form too, until the bracket spans at
+    most 2**-40 of the bounds width or its midpoint rounds onto an end.
+    The end with the better profile is the shift, unless neither is better
+    than the best node (a profile with more than one extremum in those
+    cells, or flat to rounding at a bound), which then stands.
+    Inside the bounds the shift is thus the profile's stationary point to
+    that resolution, and a profile that falls all the way to a bound ends
+    exactly on it. About 100 profile evaluations are made.
     Passing equal bounds pins the shift and skips the search.
 
     The likelihood is unbounded as the shift approaches the smallest
@@ -229,11 +244,18 @@ def fit_shifted_lognormal(
 
     shift = lo
     if lo < hi:
-        nodes, cell = np.linspace(lo, hi, _SCAN_NODES), (hi - lo) / (_SCAN_NODES - 1)
-        for _ in range(_SCAN_LEVELS):
-            shift = float(nodes[np.argmin([negative_profile(g) for g in nodes])])
-            nodes = np.unique(np.clip(shift + np.linspace(-cell, cell, _SCAN_NODES), lo, hi))
-            cell /= (_SCAN_NODES - 1) // 2
+        nodes = np.linspace(lo, hi, _SCAN_NODES)
+        best = int(np.argmin([negative_profile(g) for g in nodes]))
+        a, b = float(nodes[max(best - 1, 0)]), float(nodes[min(best + 1, _SCAN_NODES - 1)])
+        # the profile falls at a and rises at b, unless the end is still a
+        # scan node; a midpoint that rounds onto an end stops the bisection
+        while b - a > _RESOLUTION * (hi - lo) and a < (mid := a + 0.5 * (b - a)) < b:
+            rises = _log_moments(mid, values, weights, total, slope=True)[2] > 0.0
+            a, b = (a, mid) if rises else (mid, b)
+        # the best node stands unless an end is better: so a tie at a bound
+        # keeps the bound, and a profile with several extrema in the two
+        # cells never ends worse than the scan
+        shift = min((float(nodes[best]), a, b), key=negative_profile)
         if clamped and shift == hi:
             raise DegenerateSample(
                 f"the shift profile has no local maximum in [{lo!r}, {hi!r}]: it rises "
@@ -305,6 +327,9 @@ def histogram(sample: Sample, grid) -> tuple[GriddedDistribution, float]:
     ------
     DegenerateSample
         If the sample is empty or every observation falls outside the grid.
+    ModelError
+        If the binned law's unit-mass density overflows, as on a span near
+        the least that the grid rule allows.
     """
     if sample.size == 0:
         raise DegenerateSample("cannot bin an empty sample")

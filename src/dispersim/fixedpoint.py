@@ -49,13 +49,16 @@ def fixed_point_map(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     truncated or scaled closed form evaluated on the grid) maps as its
     normalised law would. The output integrates to one (trapezoid rule) by
     construction; a density with no mass to map raises
-    :class:`~dispersim.errors.ZeroMass`.
+    :class:`~dispersim.errors.ZeroMass`, and one whose running integral or
+    whose image's mass overflows raises :class:`~dispersim.errors.ModelError`.
     """
     grid = checked_grid(grid)
     (density,) = on_grid(grid, density)
     step = _Map(grid)
-    cum = running_trapezoid(density, step.steps, np.empty(grid.shape))
-    return step(cum, np.empty(grid.shape))
+    # as in fixed_point_solve, an integral or a mass that overflows is refused, not warned about
+    with np.errstate(over="ignore"):
+        cum = _finite_integral(density, step.steps, np.empty(grid.shape), 0)
+        return step(cum, np.empty(grid.shape))
 
 
 class _Map:

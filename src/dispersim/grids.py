@@ -213,7 +213,10 @@ class GriddedDistribution:
         object.__setattr__(self, "density", checked_value("density", density))
         if np.any(density < -NORMALIZATION_TOL):
             raise ValueError("density has negative values")
-        total = trapezoid(density, grid)
+        with np.errstate(over="ignore"):  # a total past the float range is refused below
+            # halved first, so a unit-mass density near the largest float
+            # (on a span near the grid rule's least) has finite areas
+            total = 2.0 * trapezoid(0.5 * density, grid)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density integrates to {total!r}, expected 1")
 
@@ -224,9 +227,10 @@ class GriddedDistribution:
         The grid is checked first, with the constructor's ``ValueError``. A
         density whose plain total underflows to 0 or overflows is divided
         by its largest value first. Raises :class:`~dispersim.errors.ModelError`
-        if a value or the total is not finite, and its subclass
-        :class:`~dispersim.errors.ZeroMass` if the clipped density
-        integrates to zero.
+        if a value or the total is not finite, or a value of the unit-mass
+        density is not (its total is too small, on a span near the grid
+        rule's least), and its subclass :class:`~dispersim.errors.ZeroMass`
+        if the clipped density integrates to zero.
         """
         grid = checked_grid(grid)
         (density,) = on_grid(grid, density)
@@ -244,12 +248,22 @@ class GriddedDistribution:
             raise ModelError(f"density total {total!r} is not finite")
         if total <= 0.0:
             raise ZeroMass("density has zero total mass")
-        return cls(grid, density / total)
+        with np.errstate(over="ignore"):  # a unit-mass value past the float range is refused
+            density = density / total
+        if not np.max(density) < np.inf:
+            raise ModelError(f"density total {total!r} is too small: the unit-mass density "
+                             "overflows")
+        return cls(grid, density)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Trapezoidal cumulative of the density, from 0 to exactly 1."""
-        cumulative = cumulative_trapezoid(self.density, self.grid)
+        with np.errstate(over="ignore"):
+            cumulative = cumulative_trapezoid(self.density, self.grid)
+        if cumulative[-1] == np.inf:
+            # neighbours whose sum passes the largest float: halved, they
+            # give a finite integral with the same fractions
+            cumulative = cumulative_trapezoid(0.5 * self.density, self.grid)
         # Guard against roundoff pushing the last node off 1.
         return np.clip(cumulative / cumulative[-1], 0.0, 1.0)
 

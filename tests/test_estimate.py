@@ -216,6 +216,17 @@ def test_only_an_upper_bound_set_by_the_smallest_value_is_a_clamp():
     assert fit_shifted_lognormal(Sample(draws), shift_bounds=(0.0, hi)).params.shift == hi
 
 
+def test_a_best_node_on_the_clamp_stands_when_its_cell_bisects_to_a_worse_end():
+    # The likelihood falls through the last scan cell and rises again only
+    # right at the clamp below 1.2786406, so the bisection of that cell ends
+    # on its lower node, far below the clamp's likelihood. The clamp, the
+    # scan's best node, stands, and is refused.
+    values = np.array([3.77446951, 1.2786406, 2.23250591])
+    weights = np.array([1.95540509, 0.73532161, 1.58281735])
+    with pytest.raises(DegenerateSample, match="no local maximum"):
+        fit_shifted_lognormal(Sample(values, weights), shift_bounds=(0.0, 5.0))
+
+
 def test_shifted_lognormal_recovery_within_five_percent():
     rng = np.random.default_rng(3)
     draws = _shifted_lognormal_draws(rng, 0.41, 0.245, 0.0245, 100_000)

@@ -1,7 +1,9 @@
-"""Differential tests of the shift search against scipy's bounded minimizer.
+"""Differential tests of the shift search against scipy's bounded minimizer
+and root finder.
 
-``reference_fit_shifted_lognormal`` below is the ``fit_shifted_lognormal``
-that the nested grid scan replaced: a 64-point scan of the shift profile,
+``reference_fit_shifted_lognormal`` below is an earlier
+``fit_shifted_lognormal``, before the search became a scan and a bisection
+on the profile's slope: a 64-point scan of the shift profile,
 refined by ``scipy.optimize.minimize_scalar`` to ``rel_tol`` of the bounds
 width. It is kept verbatim apart from its name and docstring. On generated
 samples the two searches must find shifts within ``1e-6`` of the bounds
@@ -9,13 +11,17 @@ width of each other, or raise the same exception class. Where the profile
 is flat to rounding over more than that width, the two may part further,
 and the new shift must then be at least as good to within four ulp. Where
 the new search refuses a best shift on the clamp below the smallest value,
-the reference must end there too.
+the reference must end there too. On interior samples the shift must also
+be the root of the profile's slope that ``scipy.optimize.brentq`` finds, to
+``1e-10`` of the bounds width.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from dispersim.errors import DegenerateSample, EmptyFeasibleShift
 from dispersim.estimate import (
@@ -162,3 +168,24 @@ def test_shift_matches_the_scipy_search(case):
     elif abs(new[1].params.shift - ref[1].params.shift) > tol:
         best = _negative_profile(sample, ref[1].params.shift)
         assert _negative_profile(sample, new[1].params.shift) <= best + 4 * np.spacing(abs(best))
+
+
+def _slope(sample, shift):
+    """The derivative in the shift of ``_negative_profile``, in closed form."""
+    s = sample.sorted()
+    mean, var = _log_moments(shift, s.values, s.weights, s.total_weight)
+    y = np.log(s.values - shift)
+    return -np.sum(s.weights * (y - mean + var) / (s.values - shift)) / (s.total_weight * var)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_shift_is_the_root_of_the_profile_slope(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 5000))
+    values = 0.5 + np.exp(0.4 * rng.standard_normal(n))
+    sample = Sample(values, rng.uniform(0.5, 3.0, n) if seed % 2 else None)
+    lo, hi = 0.0, 0.99 * float(values.min())
+    # the profile falls from the lower bound and rises into the clamp
+    assert _slope(sample, lo) < 0.0 < _slope(sample, hi)
+    root = brentq(lambda shift: _slope(sample, shift), lo, hi, xtol=1e-14)
+    assert abs(fit_shifted_lognormal(sample).params.shift - root) <= 1e-10 * (hi - lo)

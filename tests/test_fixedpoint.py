@@ -165,9 +165,12 @@ def test_seeds_iterates_and_images_that_overflow_are_model_errors():
     # overflow, not as a failure to converge with an infinite gap
     with pytest.raises(ModelError, match="the density overflows after 4 iterations"):
         fixed_point_solve(uniform_grid(0.0, 2e-308, 5), tol=1e-12, max_iter=4)
-    # the seed's integral is finite, the mass of its image is not
+    # the seed's integral is finite, the mass of its image is not, for the
+    # solve and for its one-step map alike
     with pytest.raises(ModelError, match="mass overflows"):
         fixed_point_solve(uniform_grid(0.0, 1e300, 3), np.ones(3))
+    with pytest.raises(ModelError, match="mass overflows"):
+        fixed_point_map(uniform_grid(0.0, 1e300, 3), np.ones(3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

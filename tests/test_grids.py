@@ -168,6 +168,18 @@ def test_from_density_rescales_a_total_that_overflows():
     with pytest.raises(ValueError, match="finite steps and span") as exc:
         GriddedDistribution.from_density(np.array([-1.5e308, 0.0, 1.5e308]), np.ones(3))
     assert not isinstance(exc.value, ModelError)
+    # on a span near the grid rule's least the unit-mass density nears the
+    # largest float: a law whose values fit is built, cumulative and all,
+    # and one whose values do not is refused by name, neither with a warning
+    narrow = uniform_grid(0.0, 6e-309, 3)
+    for dist in (GriddedDistribution.from_density(narrow[::2], [1.0, 1.0]),
+                 histogram(Sample(narrow), narrow)[0]):
+        np.testing.assert_array_equal(dist.density, 1.0 / 6e-309)
+        assert (dist.cumulative[-1], dist.median()) == (1.0, 3e-309)
+    with pytest.raises(ModelError, match="the unit-mass density overflows"):
+        GriddedDistribution.from_density(narrow[::2], [1.0, 2.0])
+    with pytest.raises(ModelError, match="the unit-mass density overflows"):
+        histogram(Sample(np.zeros(1)), narrow)
 
 
 def test_from_density_refuses_a_decreasing_grid_before_integrating():
